@@ -29,6 +29,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_GAP_EXCEEDED = 3
 
 VERIFY_GAP_TOL = 1e-4
+# sweep and channel build every row in memory before writing.
+_MAX_ROWS = 10**6
 
 SWEEP_COLUMNS = ("z", "classical", "laqc", "discord", "concurrence")
 CHANNEL_COLUMNS = (
@@ -60,19 +62,20 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
         raise CliError(f"could not parse --bd value {text!r}: {exc}") from None
 
 
+def _bd_params(text: str) -> BellDiagonalParams:
+    try:
+        return BellDiagonalParams(*_parse_triple(text)).validate()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _state_params(args) -> tuple[BellDiagonalParams, str]:
     if args.werner is not None:
         z = args.werner
         if not 0.0 <= z <= 1.0:
             raise CliError(f"--werner expects z in [0, 1], got {z}")
         return BellDiagonalParams(z, -z, z), f"werner z={z:.6f}"
-    c1, c2, c3 = _parse_triple(args.bd)
-    params = BellDiagonalParams(c1, c2, c3)
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return params, "bell-diagonal"
+    return _bd_params(args.bd), "bell-diagonal"
 
 
 def _fmt(value: float) -> str:
@@ -94,15 +97,20 @@ def _emit(text: str, path: str) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_report(args) -> int:
@@ -136,14 +144,10 @@ def _sweep_rows(base: BellDiagonalParams, z_grid: np.ndarray):
 def cmd_sweep(args) -> int:
     if args.z_steps < 2:
         raise CliError(f"--z-steps must be at least 2, got {args.z_steps}")
-    if args.bd is not None:
-        base = BellDiagonalParams(*_parse_triple(args.bd))
-        try:
-            base.validate()
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    else:
-        base = BellDiagonalParams(1.0, -1.0, 1.0)
+    if args.z_steps > _MAX_ROWS:
+        raise CliError(f"--z-steps must be at most {_MAX_ROWS}, got {args.z_steps}")
+    werner_ray = BellDiagonalParams(1.0, -1.0, 1.0)
+    base = werner_ray if args.bd is None else _bd_params(args.bd)
     rows = list(_sweep_rows(base, np.linspace(0.0, 1.0, args.z_steps)))
     render = _render_json if args.format == "json" else _render_csv
     _emit(render(SWEEP_COLUMNS, rows), args.output)
@@ -153,6 +157,8 @@ def cmd_sweep(args) -> int:
 def cmd_channel(args) -> int:
     if args.z_steps < 2 or args.gamma_steps < 2:
         raise CliError("--z-steps and --gamma-steps must be at least 2")
+    if args.z_steps * args.gamma_steps > _MAX_ROWS:
+        raise CliError(f"--z-steps x --gamma-steps must be at most {_MAX_ROWS} rows")
     kind = _CHANNEL_FLAGS[args.channel]
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
     rows = []
@@ -181,9 +187,10 @@ def cmd_verify(args) -> int:
     params, label = _state_params(args)
     if args.steps < 2:
         raise CliError(f"--steps must be at least 2, got {args.steps}")
-    grid = GridSpec(
-        steps_theta=args.steps, steps_phi=args.steps, steps_comp_phi=args.steps
-    )
+    try:
+        grid = GridSpec(args.steps, args.steps, args.steps)
+    except ValueError as exc:
+        raise CliError(f"--steps {args.steps}: {exc}") from None
     audit = audit_closed_forms(params, grid)
     symmetric = (
         abs(abs(params.c1) - abs(params.c2)) <= 1e-12

@@ -73,7 +73,7 @@ def mutual_information(d: JointDistribution) -> float:
 def correlation_entropy_function(c: float) -> float:
     """f(c) = (1+c)/2 log2(1+c) + (1-c)/2 log2(1-c); even, f(0)=0, f(+-1)=1."""
     c = float(c)
-    if abs(c) > 1.0 + 1e-12:
+    if not abs(c) <= 1.0 + 1e-12:  # also rejects NaN
         raise ValueError(f"correlation coefficient must lie in [-1, 1], got {c}")
     c = max(-1.0, min(1.0, c))
     return 0.5 * (xlog2(1.0 + c) + xlog2(1.0 - c))

@@ -18,6 +18,12 @@ cheap to enumerate. Ties within 1e-10 of the optimum resolve to the
 lexicographically smallest angle tuple, which prefers the standard
 computational basis whenever it is optimal.
 
+All three oracles share one search (:func:`_grid_search`): the product
+grid is streamed in row chunks in a single pass that keeps each row's
+extreme, and only the chunk holding the first tied row is evaluated
+again to locate the first tied column. Maximization is minimization of
+the negated table, which is exact in IEEE arithmetic, ties included.
+
 The grid evaluators run on the Bloch parametrization of projectors
 (p = (1/4)[1 + s a.x + t b.y + st a.T.b]), which is exact for any state;
 the value finally reported is recomputed at the winning angles through
@@ -28,6 +34,7 @@ disagreement is surfaced as a recorded gap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +76,10 @@ _TWO_PI = 2.0 * math.pi
 # Refinement window: +-1 coarse cell sampled at 10x resolution.
 _REFINE_POINTS = 21
 _CHUNK_ROWS = 256
+# The relative-entropy search evaluates about steps**4 grid points.
+_MAX_STEPS = 128
+_THETA_BOUNDS = (0.0, math.pi)
+_PHI_BOUNDS = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("steps_theta", "steps_phi", "steps_comp_phi"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
+            if not 2 <= getattr(self, name) <= _MAX_STEPS:
+                raise ValueError(f"{name} must lie in [2, {_MAX_STEPS}]")
 
 
 @dataclass(frozen=True)
@@ -128,44 +139,82 @@ def _phi_grid(steps: int) -> np.ndarray:
     return np.linspace(0.0, _TWO_PI, steps, endpoint=False)
 
 
-def _axis_table(thetas: np.ndarray, phis: np.ndarray):
-    """All (theta, phi) pairs in lexicographic order with their Bloch axes."""
+def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Bloch axes of all (theta, phi) pairs in lexicographic order."""
     tt = np.repeat(thetas, phis.size)
     pp = np.tile(phis, thetas.size)
     st = np.sin(tt)
-    axes = np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
-    return tt, pp, axes
+    return np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
 
 
-def _scan_extreme(n_rows, n_cols, eval_rows, minimize):
-    """Streamed arg-extreme over an (n_rows x n_cols) objective table.
+def _scan(grids, n_row_angles, table, minimize):
+    """(first lexicographic grid point within TIE_TOL of the minimum, minimum).
 
-    Two passes: find the global extreme, then the first (row-major, i.e.
-    lexicographically smallest) index within TIE_TOL of it.
+    The table has a row per point of the product of grids[:n_row_angles]
+    and a column per point of the product of the rest; ``table(*grids)``
+    returns ``rows(lo, hi)``, the block of rows lo..hi, negated here when
+    maximizing. One pass over _CHUNK_ROWS-row chunks keeps each row's
+    minimum. The first row within TIE_TOL of the global minimum holds the
+    first tied entry, so only its chunk is evaluated again, with the same
+    bounds, to find the column.
     """
-    best = math.inf if minimize else -math.inf
+    shape = tuple(g.size for g in grids)
+    n_rows = math.prod(shape[:n_row_angles])
+    rows = table(*grids)
+
+    def block(lo: int) -> np.ndarray:
+        out = rows(lo, min(lo + _CHUNK_ROWS, n_rows))
+        return out if minimize else -out
+
+    row_best = np.empty(n_rows)
     for lo in range(0, n_rows, _CHUNK_ROWS):
-        block = eval_rows(lo, min(lo + _CHUNK_ROWS, n_rows))
-        extreme = block.min() if minimize else block.max()
-        best = min(best, extreme) if minimize else max(best, extreme)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        block = eval_rows(lo, min(lo + _CHUNK_ROWS, n_rows))
-        hits = block <= best + TIE_TOL if minimize else block >= best - TIE_TOL
-        flat = hits.reshape(-1)
-        if flat.any():
-            local = int(np.argmax(flat))
-            return lo * n_cols + local, float(best)
-    raise RuntimeError("scan found no extreme; empty grid?")
+        last = block(lo)
+        row_best[lo : lo + last.shape[0]] = last.min(axis=1)
+    value = row_best.min()
+    row = int(np.argmax(row_best <= value + TIE_TOL))
+    lo = row - row % _CHUNK_ROWS
+    if lo + _CHUNK_ROWS < n_rows:
+        last = block(lo)
+    col = int(np.argmax(last[row - lo] <= value + TIE_TOL))
+    idx = np.unravel_index(row * last.shape[1] + col, shape)
+    return tuple(g[i] for g, i in zip(grids, idx)), value
 
 
-def _dephased_entropy_rows(bloch: BlochParams, axes_a, axes_b):
+def _grid_search(grids, bounds, n_row_angles, table, minimize, refine):
+    """Arg-extreme of ``table`` (see :func:`_scan`) over the per-angle grids.
+
+    Refinement rescans a +-1 coarse cell window per angle, clipped to the
+    angle's (lower, upper) bounds, and adopts the refined point only on a
+    real improvement, so coarse lexicographic tie-breaking survives float
+    noise.
+    """
+    best, value = _scan(grids, n_row_angles, table, minimize)
+    if refine:
+        windows = tuple(
+            np.linspace(
+                max(lower, center - (g[1] - g[0])),
+                min(upper, center + (g[1] - g[0])),
+                _REFINE_POINTS,
+            )
+            for g, center, (lower, upper) in zip(grids, best, bounds)
+        )
+        refined, r_value = _scan(windows, n_row_angles, table, minimize)
+        if r_value < value - TIE_TOL:
+            best = refined
+    return best
+
+
+def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     """Row evaluator for the joint entropy of the dephased state.
 
-    Minimizing S(rho || dephase(rho, basis)) is minimizing this entropy
-    since the dephasing shares rho's diagonal, making the relative
-    entropy S(dephased) - S(rho) with S(rho) fixed.
+    Rows are basis angles on A, columns on B. Minimizing
+    S(rho || dephase(rho, basis)) is minimizing this entropy since the
+    dephasing shares rho's diagonal, making the relative entropy
+    S(dephased) - S(rho) with S(rho) fixed.
     """
+    axes_a = _bloch_axes(theta_a, phi_a)
     xa_all = axes_a @ bloch.x
+    axes_b = _bloch_axes(theta_b, phi_b)
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
 
@@ -183,29 +232,13 @@ def _dephased_entropy_rows(bloch: BlochParams, axes_a, axes_b):
     return rows
 
 
-def _refined_window(center: float, step: float, lower: float, upper: float) -> np.ndarray:
-    return np.linspace(
-        max(lower, center - step), min(upper, center + step), _REFINE_POINTS
-    )
-
-
-def _closed_forms(rho: np.ndarray):
-    """(params, classical, laqc, discord) when rho is Bell diagonal, else Nones."""
+def _result(rho, angles, objective, closed_form) -> OracleResult:
+    """Pair the search outcome with closed_form(triple) if rho is Bell diagonal."""
     bloch = bloch_decompose(rho)
     if not bloch.is_bell_diagonal():
-        return None, None, None, None
-    params = bloch.diagonal_correlations()
-    return (
-        params,
-        correlations.classical_correlations_bd(params),
-        correlations.laqc_bd(params),
-        correlations.discord_bd(params),
-    )
-
-
-def _result(angles, objective, closed_form) -> OracleResult:
-    gap = None if closed_form is None else objective - closed_form
-    return OracleResult(angles, objective, closed_form, gap)
+        return OracleResult(angles, objective, None, None)
+    value = closed_form(bloch.diagonal_correlations())
+    return OracleResult(angles, objective, value, objective - value)
 
 
 def minimize_relative_entropy_basis(
@@ -218,40 +251,16 @@ def minimize_relative_entropy_basis(
     the closed form f(c_min) is checked against.
     """
     rho = np.asarray(rho, dtype=complex)
-    bloch = bloch_decompose(rho)
     thetas = _theta_grid(grid.steps_theta)
     phis = _phi_grid(grid.steps_phi)
-    ta, pa, axes = _axis_table(thetas, phis)
-    n = ta.size
-    idx, value = _scan_extreme(
-        n, n, _dephased_entropy_rows(bloch, axes, axes), minimize=True
+    best = _grid_search(
+        (thetas, phis, thetas, phis),
+        (_THETA_BOUNDS, _PHI_BOUNDS) * 2,
+        2,
+        functools.partial(_dephased_entropy_rows, bloch_decompose(rho)),
+        minimize=True,
+        refine=grid.refine,
     )
-    a, b = divmod(idx, n)
-    best = (ta[a], pa[a], ta[b], pa[b])
-
-    if grid.refine:
-        h_t = thetas[1] - thetas[0]
-        h_p = phis[1] - phis[0]
-        ra = _axis_table(
-            _refined_window(best[0], h_t, 0.0, math.pi),
-            _refined_window(best[1], h_p, -math.inf, math.inf),
-        )
-        rb = _axis_table(
-            _refined_window(best[2], h_t, 0.0, math.pi),
-            _refined_window(best[3], h_p, -math.inf, math.inf),
-        )
-        idx, refined = _scan_extreme(
-            ra[0].size,
-            rb[0].size,
-            _dephased_entropy_rows(bloch, ra[2], rb[2]),
-            minimize=True,
-        )
-        # Adopt the refined point only on a real improvement, so coarse-grid
-        # lexicographic tie-breaking survives float noise.
-        if refined < value - TIE_TOL:
-            a, b = divmod(idx, rb[0].size)
-            best = (ra[0][a], ra[1][a], rb[0][b], rb[1][b])
-
     angles = LocalBasisAngles(
         _clamp_theta(best[0]),
         _wrap_phase(best[1]),
@@ -261,29 +270,29 @@ def minimize_relative_entropy_basis(
     mi = correlations.mutual_information(
         joint_projective_distribution(rho, *local_basis_pair(angles))
     )
-    _, classical, _, _ = _closed_forms(rho)
-    return _result(angles, mi, classical)
+    return _result(rho, angles, mi, correlations.classical_correlations_bd)
 
 
-def _laqc_mi_table(rho: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) -> np.ndarray:
-    """Mutual information for every (phi_a, phi_b) complementary-basis pair.
+def _laqc_rows(rho: np.ndarray, comp_a, comp_b, phi_a, phi_b):
+    """Row evaluator of the mutual information of every (phi_a, phi_b)
+    complementary-basis pair over the computational bases comp_*."""
+    rho4 = rho.reshape(2, 2, 2, 2)
+    # shape (grid, outcome, component)
+    kets_a = _complementary_kets(phi_a, comp_a)
+    kets_b = _complementary_kets(phi_b, comp_b)
 
-    kets_* has shape (grid, outcome, component).
-    """
-    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    p = np.einsum(
-        "aim,bjn,mnpq,aip,bjq->abij",
-        kets_a.conj(),
-        kets_b.conj(),
-        rho4,
-        kets_a,
-        kets_b,
-    ).real
-    np.clip(p, 0.0, 1.0, out=p)
-    h_joint = -xlog2(p).sum(axis=(2, 3))
-    h_a = -xlog2(p.sum(axis=3)).sum(axis=2)
-    h_b = -xlog2(p.sum(axis=2)).sum(axis=2)
-    return h_a + h_b - h_joint
+    def rows(lo: int, hi: int) -> np.ndarray:
+        ka = kets_a[lo:hi]
+        p = np.einsum(
+            "aim,bjn,mnpq,aip,bjq->abij", ka.conj(), kets_b.conj(), rho4, ka, kets_b
+        ).real
+        np.clip(p, 0.0, 1.0, out=p)
+        h_joint = -xlog2(p).sum(axis=(2, 3))
+        h_a = -xlog2(p.sum(axis=3)).sum(axis=2)
+        h_b = -xlog2(p.sum(axis=2)).sum(axis=2)
+        return h_a + h_b - h_joint
+
+    return rows
 
 
 def _complementary_kets(phis: np.ndarray, computational: QubitBasis) -> np.ndarray:
@@ -304,29 +313,14 @@ def maximize_laqc(
     rho = np.asarray(rho, dtype=complex)
     comp_a, comp_b = computational
     phis = _phi_grid(grid.steps_comp_phi)
-
-    def table(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-        return _laqc_mi_table(
-            rho, _complementary_kets(pa, comp_a), _complementary_kets(pb, comp_b)
-        )
-
-    mi = table(phis, phis)
-    value = float(mi.max())
-    idx = int(np.argmax(mi.reshape(-1) >= value - TIE_TOL))
-    a, b = divmod(idx, phis.size)
-    best = (phis[a], phis[b])
-
-    if grid.refine:
-        h = phis[1] - phis[0]
-        pa = _refined_window(best[0], h, -math.inf, math.inf)
-        pb = _refined_window(best[1], h, -math.inf, math.inf)
-        refined = table(pa, pb)
-        r_value = float(refined.max())
-        if r_value > value + TIE_TOL:
-            idx = int(np.argmax(refined.reshape(-1) >= r_value - TIE_TOL))
-            a, b = divmod(idx, pb.size)
-            best = (pa[a], pb[b])
-
+    best = _grid_search(
+        (phis, phis),
+        (_PHI_BOUNDS, _PHI_BOUNDS),
+        1,
+        functools.partial(_laqc_rows, rho, comp_a, comp_b),
+        minimize=False,
+        refine=grid.refine,
+    )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
     objective = correlations.mutual_information(
         joint_projective_distribution(
@@ -335,27 +329,30 @@ def maximize_laqc(
             complementary_qubit_basis(angles.phi_b, comp_b),
         )
     )
-    _, _, laqc, _ = _closed_forms(rho)
-    return _result(angles, objective, laqc)
+    return _result(rho, angles, objective, correlations.laqc_bd)
 
 
-def _binary_entropy_from_radius(r: np.ndarray) -> np.ndarray:
-    lam = 0.5 * (1.0 + np.clip(r, 0.0, 1.0))
-    return -xlog2(lam) - xlog2(1.0 - lam)
+def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
+    """Row evaluator of sum_s p_s S(rho_B | s) for measurement axes on A;
+    rows are theta, columns phi."""
+    axes = _bloch_axes(thetas, phis)
 
+    def rows(lo: int, hi: int) -> np.ndarray:
+        ax = axes[lo * phis.size : hi * phis.size]
+        xa = ax @ bloch.x
+        out = np.zeros(ax.shape[0])
+        for s in (1.0, -1.0):
+            p = 0.5 * (1.0 + s * xa)
+            w = bloch.y[None, :] + s * (ax @ bloch.T)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
+            # binary entropy of the conditional state's eigenvalues
+            lam = 0.5 * (1.0 + np.clip(np.where(p > 1e-14, r, 0.0), 0.0, 1.0))
+            ent = -xlog2(lam) - xlog2(1.0 - lam)
+            out += np.where(p > 1e-14, p * ent, 0.0)
+        return out.reshape(hi - lo, phis.size)
 
-def _conditional_entropy_grid(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
-    """sum_s p_s S(rho_B | s) for measurement axes on A, vectorized."""
-    xa = axes @ bloch.x
-    out = np.zeros(axes.shape[0])
-    for s in (1.0, -1.0):
-        p = 0.5 * (1.0 + s * xa)
-        w = bloch.y[None, :] + s * (axes @ bloch.T)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
-        ent = _binary_entropy_from_radius(np.where(p > 1e-14, r, 0.0))
-        out += np.where(p > 1e-14, p * ent, 0.0)
-    return out
+    return rows
 
 
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
@@ -381,31 +378,17 @@ def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleR
     """Minimize I(rho) - [S(rho_B) - sum_i p_i S(rho_B|i)] over projective
     measurements on A parametrized by (theta_a, phi_a)."""
     rho = np.asarray(rho, dtype=complex)
-    bloch = bloch_decompose(rho)
-    thetas = _theta_grid(grid.steps_theta)
-    phis = _phi_grid(grid.steps_phi)
-    ta, pa, axes = _axis_table(thetas, phis)
-
-    cond = _conditional_entropy_grid(bloch, axes)
-    value = float(cond.min())
-    idx = int(np.argmax(cond <= value + TIE_TOL))
-    best = (ta[idx], pa[idx])
-
-    if grid.refine:
-        rt, rp, raxes = _axis_table(
-            _refined_window(best[0], thetas[1] - thetas[0], 0.0, math.pi),
-            _refined_window(best[1], phis[1] - phis[0], -math.inf, math.inf),
-        )
-        rcond = _conditional_entropy_grid(bloch, raxes)
-        r_value = float(rcond.min())
-        if r_value < value - TIE_TOL:
-            idx = int(np.argmax(rcond <= r_value + TIE_TOL))
-            best = (rt[idx], rp[idx])
-
+    best = _grid_search(
+        (_theta_grid(grid.steps_theta), _phi_grid(grid.steps_phi)),
+        (_THETA_BOUNDS, _PHI_BOUNDS),
+        1,
+        functools.partial(_conditional_entropy_rows, bloch_decompose(rho)),
+        minimize=True,
+        refine=grid.refine,
+    )
     angles = LocalBasisAngles(_clamp_theta(best[0]), _wrap_phase(best[1]), 0.0, 0.0)
     objective = _measured_discord_at(rho, angles.theta_a, angles.phi_a)
-    _, _, _, discord = _closed_forms(rho)
-    return _result(angles, objective, discord)
+    return _result(rho, angles, objective, correlations.discord_bd)
 
 
 def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:

@@ -59,6 +59,16 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
+# _PAULI_PAIRS[n, m] = sigma_n (x) sigma_m with sigma_0 = I.
+_SIGMA4 = np.stack((_I2, *PAULIS))
+_PAULI_PAIRS = np.einsum("nab,mcd->nmacbd", _SIGMA4, _SIGMA4).reshape(4, 4, 4, 4)
+# bloch_compose sums its 16 terms in the order I, (x_n, y_n) for each n,
+# then T row-major; the diagonal entries round differently in any other.
+_COMPOSE_ORDER = [0] + [k for n in (1, 2, 3) for k in (4 * n, n)] + [
+    4 * n + m for n in (1, 2, 3) for m in (1, 2, 3)
+]
+_PAULI_TERMS = _PAULI_PAIRS.reshape(16, 4, 4)[_COMPOSE_ORDER]
+
 # Fixed ordering for any Bell-basis spectral reporting.
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
@@ -72,14 +82,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def xlog2(p):
-    """Elementwise p*log2(p) with the 0*log2(0) = 0 convention."""
+    """Elementwise p*log2(p), 0 wherever p is not positive (0*log2(0) = 0).
+
+    The scalar path is bitwise equal to the array path."""
+    if np.ndim(p) == 0:
+        x = float(p)
+        return x * float(np.log2(x)) if x > 0.0 else 0.0
     arr = np.asarray(p, dtype=float)
-    out = np.zeros_like(arr)
-    mask = arr > 0.0
-    out[mask] = arr[mask] * np.log2(arr[mask])
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    pos = arr > 0.0
+    out = np.log2(arr, out=np.zeros_like(arr), where=pos)
+    return np.multiply(arr, out, out=out, where=pos)
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,8 @@ class BellDiagonalParams:
         return bool(self.bell_eigenvalues().min() >= -tol)
 
     def validate(self, tol: float = PSD_TOL) -> "BellDiagonalParams":
+        if not all(math.isfinite(c) for c in self.as_tuple()):
+            raise ValueError(f"correlation triple {self.as_tuple()} must be finite")
         lam = self.bell_eigenvalues()
         k = int(np.argmin(lam))
         if lam[k] < -tol:
@@ -254,28 +268,21 @@ def werner_state(z: float) -> np.ndarray:
 
 def bloch_decompose(rho: np.ndarray) -> BlochParams:
     """Trace out the Bloch parameters (x, y, T) of a 2-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    x = np.array([np.trace(rho @ np.kron(s, _I2)).real for s in PAULIS])
-    y = np.array([np.trace(rho @ np.kron(_I2, s)).real for s in PAULIS])
-    T = np.array(
-        [
-            [np.trace(rho @ np.kron(sn, sm)).real for sm in PAULIS]
-            for sn in PAULIS
-        ]
-    )
-    return BlochParams(x, y, T)
+    # Each Pauli product has one nonzero entry per row, so every term of
+    # the einsum is exact; the complex sum over i then rounds exactly like
+    # Tr[rho (sigma_n (x) sigma_m)].
+    r = np.einsum("nmij,ji->nmi", _PAULI_PAIRS, np.asarray(rho, dtype=complex))
+    r = r.sum(axis=-1).real
+    return BlochParams(r[1:, 0], r[0, 1:], r[1:, 1:])
 
 
 def bloch_compose(params: BlochParams) -> np.ndarray:
     """Rebuild the state from Bloch parameters; rejects non-physical sets."""
-    m = _I4.copy()
-    for n, s in enumerate(PAULIS):
-        m += params.x[n] * np.kron(s, _I2)
-        m += params.y[n] * np.kron(_I2, s)
-    for n, sn in enumerate(PAULIS):
-        for k, sm in enumerate(PAULIS):
-            m += params.T[n, k] * np.kron(sn, sm)
-    return validate_density(0.25 * m)
+    coeffs = np.block(
+        [[np.ones((1, 1)), params.y[None, :]], [params.x[:, None], params.T]]
+    )
+    terms = coeffs.reshape(16)[_COMPOSE_ORDER, None, None] * _PAULI_TERMS
+    return validate_density(0.25 * terms.sum(axis=0))
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:

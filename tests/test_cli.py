@@ -5,6 +5,7 @@ import pytest
 
 from qcorr.cli import main
 from qcorr.correlations import full_report
+from qcorr.oracle import GridSpec
 from qcorr.qstate import BellDiagonalParams
 
 
@@ -197,6 +198,55 @@ class TestVerify:
     def test_invalid_state_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--bd", "2,0,0")
         assert code == 2 and err != ""
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("command", ["report", "sweep", "verify"])
+    @pytest.mark.parametrize("triple", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_triple_exits_2(self, capsys, command, triple):
+        code, out, err = run(capsys, command, "--bd", triple)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_missing_output_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "sweep", "--z-steps", "3", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot write" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_onto_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        code, _, err = run(capsys, "sweep", "--z-steps", "3", "--output", str(target))
+        assert code == 2 and "cannot write" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    def test_verify_steps_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--werner", "0.5", "--steps", "129")
+        assert code == 2 and out == ""
+        assert "[2, 128]" in err
+
+    def test_grid_spec_rejects_steps_above_cap(self):
+        with pytest.raises(ValueError, match=r"\[2, 128\]"):
+            GridSpec(steps_comp_phi=129)
+
+    def test_sweep_rows_above_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--z-steps", str(10**6 + 1))
+        assert code == 2 and out == "" and "at most" in err
+
+    def test_channel_rows_above_cap_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "channel",
+            "--channel",
+            "depolarizing",
+            "--z-steps",
+            "1001",
+            "--gamma-steps",
+            "1000",
+        )
+        assert code == 2 and out == "" and "at most" in err
 
 
 class TestParsing:

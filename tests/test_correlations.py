@@ -48,6 +48,11 @@ class TestEntropyFunction:
         with pytest.raises(ValueError):
             correlation_entropy_function(1.5)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, c):
+        with pytest.raises(ValueError):
+            correlation_entropy_function(c)
+
     def test_matches_mutual_information_of_matching_table(self):
         # f(c) is the mutual information of the two-outcome table
         # p(i, j) = (1 + (-1)^{i+j} c)/4 with uniform marginals.

@@ -16,7 +16,9 @@ from qcorr.bases import (
 )
 from qcorr.channels import depolarizing_kraus, phase_damping_kraus
 from qcorr.qstate import (
+    PAULIS,
     BellDiagonalParams,
+    BlochParams,
     bell_diagonal_state,
     bloch_compose,
     bloch_decompose,
@@ -128,3 +130,71 @@ def test_relative_entropy_of_dephasing_is_entropy_gain(params, ang):
 @given(st.floats(0.0, 1.0), st.sampled_from([depolarizing_kraus, phase_damping_kraus]))
 def test_channel_completeness(gamma, factory):
     assert factory(gamma).completeness_defect() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_xlog2_scalar_path_is_bitwise_equal_to_array_path(x):
+    scalar = np.float64(xlog2(x)).tobytes()
+    with np.errstate(over="ignore"):  # x log2 x overflows near the float max
+        assert scalar == xlog2(np.array([x]))[0].tobytes()
+
+
+def _masked_xlog2(arr):
+    out = np.zeros_like(arr)
+    mask = arr > 0.0
+    out[mask] = arr[mask] * np.log2(arr[mask])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_xlog2_matches_masked_reference_bitwise(values):
+    arr = np.array(values)
+    with np.errstate(over="ignore"):
+        assert xlog2(arr).tobytes() == _masked_xlog2(arr).tobytes()
+
+
+@st.composite
+def density_matrices(draw):
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    g = np.array([draw(entries) + 1j * draw(entries) for _ in range(16)])
+    g = g.reshape(4, 4) + 1e-3 * np.eye(4)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _kron_loop_decompose(rho):
+    eye = np.eye(2)
+    x = [np.trace(rho @ np.kron(s, eye)).real for s in PAULIS]
+    y = [np.trace(rho @ np.kron(eye, s)).real for s in PAULIS]
+    t = [[np.trace(rho @ np.kron(sn, sm)).real for sm in PAULIS] for sn in PAULIS]
+    return np.array(x), np.array(y), np.array(t)
+
+
+def _kron_loop_compose(params):
+    eye = np.eye(2)
+    m = np.eye(4, dtype=complex)
+    for n, s in enumerate(PAULIS):
+        m += params.x[n] * np.kron(s, eye)
+        m += params.y[n] * np.kron(eye, s)
+    for n, sn in enumerate(PAULIS):
+        for k, sm in enumerate(PAULIS):
+            m += params.T[n, k] * np.kron(sn, sm)
+    return 0.25 * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_matrices())
+def test_bloch_decompose_matches_kron_loop_bitwise(rho):
+    got = bloch_decompose(rho)
+    for have, want in zip((got.x, got.y, got.T), _kron_loop_decompose(rho)):
+        assert have.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_matrices())
+def test_bloch_compose_matches_kron_loop_bitwise(rho):
+    params = bloch_decompose(rho)
+    want = _kron_loop_compose(BlochParams(params.x, params.y, params.T))
+    assert bloch_compose(params).tobytes() == want.tobytes()

@@ -46,6 +46,13 @@ class TestBellDiagonalState:
         with pytest.raises(ValueError, match="psi_minus"):
             bell_diagonal_state((1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "triple", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf)]
+    )
+    def test_rejects_non_finite_triple(self, triple):
+        with pytest.raises(ValueError, match="finite"):
+            BellDiagonalParams(*triple).validate()
+
     def test_eigenvalues_fixed_order(self):
         lam = BellDiagonalParams(1, -1, 1).bell_eigenvalues()
         assert np.allclose(lam, [1.0, 0.0, 0.0, 0.0])

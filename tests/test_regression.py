@@ -1,0 +1,87 @@
+"""Byte-identity pins: default CLI output and 64-step oracle angles.
+
+The CSV files under tests/data/ were written by the default `sweep` and
+`channel` commands before the oracle and Bloch code were consolidated;
+any change to the numeric path that moves a printed digit shows here.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qcorr.bases import QubitBasis
+from qcorr.cli import main
+from qcorr.oracle import (
+    TIE_TOL,
+    GridSpec,
+    _scan,
+    brute_force_discord,
+    maximize_laqc,
+    minimize_relative_entropy_basis,
+)
+from qcorr.qstate import bell_diagonal_state
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["sweep"], "sweep_default.csv"),
+        (["channel", "--channel", "depolarizing"], "channel_depolarizing_default.csv"),
+        (["channel", "--channel", "phase-damping"], "channel_phase_damping_default.csv"),
+    ],
+)
+def test_default_csv_is_byte_identical(argv, pinned, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+class TestAsymmetricTripleAngles:
+    """Winning angles for (0.7, -0.3, 0.5) at the default 64 steps."""
+
+    rho = bell_diagonal_state((0.7, -0.3, 0.5))
+    grid = GridSpec()
+
+    def test_classical(self):
+        a = minimize_relative_entropy_basis(self.rho, self.grid).best_angles
+        assert (a.theta_a, a.phi_a, a.theta_b, a.phi_b) == (
+            math.pi / 2,
+            0.0,
+            math.pi / 2,
+            0.0,
+        )
+
+    def test_laqc(self):
+        standard = (QubitBasis.standard(), QubitBasis.standard())
+        a = maximize_laqc(self.rho, standard, self.grid).best_angles
+        assert (a.phi_a, a.phi_b) == (0.0, 0.0)
+
+    def test_discord(self):
+        a = brute_force_discord(self.rho, self.grid).best_angles
+        assert (a.theta_a, a.phi_a, a.theta_b, a.phi_b) == (math.pi / 2, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("minimize", [True, False])
+@pytest.mark.parametrize(
+    "cells", [[(699, 3, 0.0)], [(300, 1, 1e-11), (650, 2, 0.0)], [(10, 0, 0.0)]]
+)
+def test_scan_matches_two_pass_reference(minimize, cells):
+    # 700 rows span three chunks; a near tie in an earlier chunk than the
+    # extreme must win, as in a full scan for the extreme followed by a
+    # row-major scan for the first entry within TIE_TOL.
+    rng = np.random.default_rng(0)
+    table = rng.uniform(1.0, 2.0, size=(700, 5))
+    for row, col, value in cells:
+        table[row, col] = value
+    if not minimize:
+        table = -table
+    grids = (np.arange(700.0), np.arange(5.0))
+    angles, _ = _scan(grids, 1, lambda *_: lambda lo, hi: table[lo:hi], minimize)
+    signed = table if minimize else -table
+    flat = signed.reshape(-1)
+    first = int(np.argmax(flat <= flat.min() + TIE_TOL))
+    assert angles == divmod(first, 5)
