@@ -99,7 +99,7 @@ class QubitBasis:
                 [k1.conj() @ k0, k1.conj() @ k1],
             ]
         )
-        if np.abs(gram - np.eye(2)).max() > ORTHONORMALITY_TOL:
+        if not np.abs(gram - np.eye(2)).max() <= ORTHONORMALITY_TOL:  # also rejects NaN
             raise ValueError("basis vectors are not orthonormal")
         k0.flags.writeable = False
         k1.flags.writeable = False
@@ -140,10 +140,10 @@ class JointDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (2, 2):
             raise ValueError(f"probability table must be 2x2, got {p.shape}")
-        if p.min() < -_PROB_CLAMP or p.max() > 1.0 + _PROB_CLAMP:
+        if not (-_PROB_CLAMP <= p.min() and p.max() <= 1.0 + _PROB_CLAMP):  # also rejects NaN
             raise ValueError(f"probabilities outside [0, 1]: {p}")
         p = np.clip(p, 0.0, 1.0)
-        if abs(p.sum() - 1.0) > _PROB_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)

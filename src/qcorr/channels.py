@@ -17,7 +17,8 @@ always see the same channel and the same gamma:
 On Werner input the induced correlation-triple maps have closed forms
 (z -> z(1-gamma)^2 for depolarizing; (c1, c2) -> (1-gamma) z with c3 = z
 fixed for phase damping). Those maps are the primary computation path;
-the explicit Kraus route exists to verify them. gamma itself is the
+the explicit Kraus route exists to verify them. They take z as a scalar
+or an array (triple fields of z's shape). gamma itself is the
 dissipation coordinate; no time parametrization is imposed.
 """
 
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .correlations import CorrelationReport, full_report
-from .qstate import PAULIS, BellDiagonalParams, validate_density
+from .qstate import PAULIS, BellDiagonalParams, _check_unit, validate_density
 
 __all__ = [
     "KrausChannel",
@@ -51,10 +52,7 @@ CHANNEL_KINDS = (DEPOLARIZING, PHASE_DAMPING)
 
 
 def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"interaction parameter gamma must lie in [0, 1], got {gamma}")
-    return gamma
+    return float(_check_unit("interaction parameter gamma", gamma))
 
 
 @dataclass(frozen=True)
@@ -124,16 +122,19 @@ def apply_product_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
 
 def depolarized_werner_params(z: float, gamma: float) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided depolarizing."""
+    # A Python-float gamma keeps (1 - gamma) ** 2 on libm pow; numpy's array
+    # power computes x * x, which rounds differently, so grids map per gamma.
     gamma = _check_gamma(gamma)
-    zp = float(z) * (1.0 - gamma) ** 2
+    zp = _check_unit("werner parameter z", z) * (1.0 - gamma) ** 2
     return BellDiagonalParams(zp, -zp, zp)
 
 
 def phase_damped_werner_params(z: float, gamma: float) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided phase damping."""
     gamma = _check_gamma(gamma)
-    zp = (1.0 - gamma) * float(z)
-    return BellDiagonalParams(zp, -zp, float(z))
+    z = _check_unit("werner parameter z", z)
+    zp = (1.0 - gamma) * z
+    return BellDiagonalParams(zp, -zp, z)
 
 
 _PARAM_MAPS = {
@@ -148,9 +149,8 @@ def correlation_trajectory(
     """Quantifier trajectory of a Werner state along a channel-strength grid."""
     if kind not in _PARAM_MAPS:
         raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    param_map = _PARAM_MAPS[kind]
-    points = []
-    for gamma in gammas:
-        params = param_map(z, gamma)
-        points.append(TrajectoryPoint(float(gamma), params, full_report(params)))
-    return points
+    gammas = [float(gamma) for gamma in gammas]
+    params = [_PARAM_MAPS[kind](z, gamma) for gamma in gammas]
+    c = np.array([p.as_tuple() for p in params], dtype=float).reshape(-1, 3)
+    rows = zip(*(np.ravel(v) for v in vars(full_report(BellDiagonalParams(*c.T))).values()))
+    return [TrajectoryPoint(g, p, CorrelationReport(*r)) for g, p, r in zip(gammas, params, rows)]

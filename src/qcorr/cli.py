@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory
+from .channels import depolarized_werner_params, phase_damped_werner_params
 from .correlations import full_report
 from .oracle import GridSpec, audit_closed_forms
 from .qstate import BellDiagonalParams
@@ -29,23 +29,17 @@ EXIT_INVALID_INPUT = 2
 EXIT_GAP_EXCEEDED = 3
 
 VERIFY_GAP_TOL = 1e-4
-# sweep and channel build every row in memory before writing.
+# sweep and channel evaluate their whole grid in one full_report call and
+# render every row in memory before writing.
 _MAX_ROWS = 10**6
 
 SWEEP_COLUMNS = ("z", "classical", "laqc", "discord", "concurrence")
-CHANNEL_COLUMNS = (
-    "z",
-    "gamma",
-    "c1",
-    "c2",
-    "c3",
-    "classical",
-    "laqc",
-    "discord",
-    "concurrence",
-)
+CHANNEL_COLUMNS = ("z", "gamma", "c1", "c2", "c3", *SWEEP_COLUMNS[1:])
 
-_CHANNEL_FLAGS = {"depolarizing": DEPOLARIZING, "phase-damping": PHASE_DAMPING}
+_CHANNEL_FLAGS = {
+    "depolarizing": depolarized_werner_params,
+    "phase-damping": phase_damped_werner_params,
+}
 
 
 class CliError(Exception):
@@ -82,16 +76,6 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"  # +0.0 normalizes -0.0
 
 
-def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(columns, rows) -> str:
-    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
-
-
 def _emit(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -115,18 +99,11 @@ def _emit(text: str, path: str) -> None:
 
 def cmd_report(args) -> int:
     params, _ = _state_params(args)
-    rep = full_report(params)
-    fields = (
-        ("classical", rep.classical),
-        ("laqc", rep.laqc),
-        ("discord", rep.discord),
-        ("concurrence", rep.concurrence),
-        ("c_min", rep.c_min),
-        ("c_max", rep.c_max),
-    )
+    # classical, laqc, discord, concurrence, c_min, c_max: the report's field order
+    fields = vars(full_report(params)).items()
     if args.format == "json":
         payload = {"c1": params.c1, "c2": params.c2, "c3": params.c3}
-        payload.update({name: value for name, value in fields})
+        payload.update(fields)
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for name, value in fields:
@@ -134,11 +111,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(base: BellDiagonalParams, z_grid: np.ndarray):
-    for z in z_grid:
-        params = BellDiagonalParams(z * base.c1, z * base.c2, z * base.c3)
-        rep = full_report(params)
-        yield (float(z), rep.classical, rep.laqc, rep.discord, rep.concurrence)
+def _write_table(args, columns, leading, params: BellDiagonalParams) -> int:
+    """Write the leading columns and the quantifiers of every triple in params."""
+    rep = full_report(params)
+    table = np.column_stack((*leading, rep.classical, rep.laqc, rep.discord, rep.concurrence))
+    if args.format == "json":
+        text = json.dumps([dict(zip(columns, row)) for row in table.tolist()], indent=2)
+    else:  # row by row: no Python float object for every cell at once
+        lines = [",".join(map(_fmt, row.tolist())) for row in table]
+        text = "\n".join([",".join(columns), *lines])
+    _emit(text + "\n", args.output)
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -146,12 +129,10 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--z-steps must be at least 2, got {args.z_steps}")
     if args.z_steps > _MAX_ROWS:
         raise CliError(f"--z-steps must be at most {_MAX_ROWS}, got {args.z_steps}")
-    werner_ray = BellDiagonalParams(1.0, -1.0, 1.0)
-    base = werner_ray if args.bd is None else _bd_params(args.bd)
-    rows = list(_sweep_rows(base, np.linspace(0.0, 1.0, args.z_steps)))
-    render = _render_json if args.format == "json" else _render_csv
-    _emit(render(SWEEP_COLUMNS, rows), args.output)
-    return EXIT_OK
+    base = BellDiagonalParams(1.0, -1.0, 1.0) if args.bd is None else _bd_params(args.bd)
+    z = np.linspace(0.0, 1.0, args.z_steps)
+    params = BellDiagonalParams(z * base.c1, z * base.c2, z * base.c3)
+    return _write_table(args, SWEEP_COLUMNS, (z,), params)
 
 
 def cmd_channel(args) -> int:
@@ -159,28 +140,13 @@ def cmd_channel(args) -> int:
         raise CliError("--z-steps and --gamma-steps must be at least 2")
     if args.z_steps * args.gamma_steps > _MAX_ROWS:
         raise CliError(f"--z-steps x --gamma-steps must be at most {_MAX_ROWS} rows")
-    kind = _CHANNEL_FLAGS[args.channel]
+    z = np.linspace(0.0, 1.0, args.z_steps)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
-    rows = []
-    for z in np.linspace(0.0, 1.0, args.z_steps):
-        for point in correlation_trajectory(z, gammas, kind):
-            rep = point.report
-            rows.append(
-                (
-                    float(z),
-                    point.gamma,
-                    point.params.c1,
-                    point.params.c2,
-                    point.params.c3,
-                    rep.classical,
-                    rep.laqc,
-                    rep.discord,
-                    rep.concurrence,
-                )
-            )
-    render = _render_json if args.format == "json" else _render_csv
-    _emit(render(CHANNEL_COLUMNS, rows), args.output)
-    return EXIT_OK
+    # One map call per gamma over the whole z grid; rows run z-major.
+    by_gamma = [_CHANNEL_FLAGS[args.channel](z, gamma).as_tuple() for gamma in gammas]
+    c1, c2, c3 = (np.array(c).T.ravel() for c in zip(*by_gamma))
+    leading = (np.repeat(z, gammas.size), np.tile(gammas, z.size), c1, c2, c3)
+    return _write_table(args, CHANNEL_COLUMNS, leading, BellDiagonalParams(c1, c2, c3))
 
 
 def cmd_verify(args) -> int:

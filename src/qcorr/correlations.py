@@ -10,11 +10,14 @@ evaluated at c_min = min{|c2|, |c3|} (classical) and
 c_max = max{|c1|, |c2|} (LAQC). Quantum discord uses the Bell-diagonal
 closed form: total mutual information minus f(max_i |c_i|). Concurrence
 is the spin-flip eigenvalue construction.
+
+Given a triple whose fields are float arrays of one shape, the triple
+quantifiers and :func:`full_report` return arrays of that shape, each
+entry bitwise equal to the value for that triple alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .bases import JointDistribution
 from .qstate import (
     SIGMA_Y,
     BellDiagonalParams,
+    _check_unit,
     as_bell_params,
     bell_diagonal_state,
     xlog2,
@@ -43,13 +47,16 @@ __all__ = [
 
 # Quantifiers this close to zero are reported as exact zeros.
 _ZERO_SNAP = 1e-14
+# full_report builds and checks the 4x4 matrices for the concurrence this
+# many triples at a time, so memory stays bounded on large grids.
+_BLOCK_TRIPLES = 256
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Bundle of every quantifier for one Bell-diagonal state."""
+    """Bundle of every quantifier for one Bell-diagonal state (or grid)."""
 
     classical: float
     laqc: float
@@ -72,17 +79,18 @@ def mutual_information(d: JointDistribution) -> float:
 
 def correlation_entropy_function(c: float) -> float:
     """f(c) = (1+c)/2 log2(1+c) + (1-c)/2 log2(1-c); even, f(0)=0, f(+-1)=1."""
-    c = float(c)
-    if not abs(c) <= 1.0 + 1e-12:  # also rejects NaN
-        raise ValueError(f"correlation coefficient must lie in [-1, 1], got {c}")
-    c = max(-1.0, min(1.0, c))
+    c = np.asarray(c, dtype=float)
+    bad = ~(np.abs(c) <= 1.0 + 1e-12)  # also rejects NaN
+    if bad.any():
+        raise ValueError(f"correlation coefficient must lie in [-1, 1], got {c[bad][0]}")
+    c = np.clip(c, -1.0, 1.0)
     return 0.5 * (xlog2(1.0 + c) + xlog2(1.0 - c))
 
 
 def _selected(params) -> tuple[float, float]:
     p = as_bell_params(params)
-    c_min = min(abs(p.c2), abs(p.c3))
-    c_max = max(abs(p.c1), abs(p.c2))
+    c_min = np.minimum(np.abs(p.c2), np.abs(p.c3))
+    c_max = np.maximum(np.abs(p.c1), np.abs(p.c2))
     return c_min, c_max
 
 
@@ -113,11 +121,9 @@ def _total_mutual_information_bd(p: BellDiagonalParams) -> float:
 def discord_bd(params) -> float:
     """Bell-diagonal quantum discord: I(rho) - f(c), c = max_i |c_i|."""
     p = as_bell_params(params).validate()
-    c = max(abs(p.c1), abs(p.c2), abs(p.c3))
+    c = np.maximum(np.maximum(np.abs(p.c1), np.abs(p.c2)), np.abs(p.c3))
     d = _total_mutual_information_bd(p) - correlation_entropy_function(c)
-    if -1e-12 < d < 0.0:
-        return 0.0
-    return d
+    return np.where((-1e-12 < d) & (d < 0.0), 0.0, d)[()]
 
 
 def discord_werner(z: float) -> float:
@@ -125,9 +131,7 @@ def discord_werner(z: float) -> float:
 
     (1-z)/4 log2(1-z) - (1+z)/2 log2(1+z) + (1+3z)/4 log2(1+3z)
     """
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"werner parameter z must lie in [0, 1], got {z}")
+    z = float(_check_unit("werner parameter z", z))
     return 0.25 * xlog2(1.0 - z) - 0.5 * xlog2(1.0 + z) + 0.25 * xlog2(1.0 + 3.0 * z)
 
 
@@ -136,38 +140,47 @@ def concurrence(rho: np.ndarray) -> float:
 
     The l_k are the decreasing square roots of the spectrum of
     rho (sy(x)sy) rho* (sy(x)sy), computed through the Hermitian
-    equivalent sqrt(rho) rho~ sqrt(rho).
+    equivalent sqrt(rho) rho~ sqrt(rho). A stack of states (shape
+    (..., 4, 4)) gives an array of shape (...).
     """
     rho = np.asarray(rho, dtype=complex)
     w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     flipped = _SYSY @ rho.conj() @ _SYSY
     spec = np.linalg.eigvalsh(sqrt_rho @ flipped @ sqrt_rho)
-    lam = np.sqrt(np.maximum(spec, 0.0))[::-1]
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.maximum(spec, 0.0))
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    return np.where(c > 0.0, c, 0.0)[()]
 
 
 def concurrence_werner(z: float) -> float:
     """max{0, (3z - 1)/2}; zero at and below the separability threshold z = 1/3."""
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"werner parameter z must lie in [0, 1], got {z}")
+    z = float(_check_unit("werner parameter z", z))
     return max(0.0, (3.0 * z - 1.0) / 2.0)
 
 
 def _snap(v: float) -> float:
-    return 0.0 if abs(v) < _ZERO_SNAP else v
+    return np.where(np.abs(v) < _ZERO_SNAP, 0.0, v)[()]
+
+
+def _concurrence_bd(p: BellDiagonalParams) -> float:
+    fields = [np.ravel(c) for c in p.as_tuple()]
+    out = np.empty(fields[0].size)
+    for lo in range(0, out.size, _BLOCK_TRIPLES):
+        block = BellDiagonalParams(*(c[lo : lo + _BLOCK_TRIPLES] for c in fields))
+        out[lo : lo + _BLOCK_TRIPLES] = concurrence(bell_diagonal_state(block))
+    return out.reshape(np.shape(p.c1))[()]
 
 
 def full_report(params) -> CorrelationReport:
-    """Every quantifier of the Bell-diagonal state with the given triple."""
+    """Every quantifier of the Bell-diagonal state with the given triple(s)."""
     p = as_bell_params(params).validate()
     c_min, c_max = _selected(p)
     return CorrelationReport(
         classical=_snap(classical_correlations_bd(p)),
         laqc=_snap(laqc_bd(p)),
         discord=_snap(discord_bd(p)),
-        concurrence=_snap(concurrence(bell_diagonal_state(p))),
+        concurrence=_snap(_concurrence_bd(p)),
         c_min=c_min,
         c_max=c_max,
     )

@@ -7,7 +7,9 @@ semidefinite, and is returned as a read-only array.
 
 Bell-diagonal states are handled through their correlation triple
 (c1, c2, c3); their spectrum is always taken from the four closed-form
-Bell-basis eigenvalues rather than a numerical eigensolver. The general
+Bell-basis eigenvalues rather than a numerical eigensolver. The triple's
+fields may be float arrays of one shape, a grid of triples; equality and
+hashing of :class:`BellDiagonalParams` are for scalar triples only. The general
 Hermitian eigenproblems (entropy of arbitrary states, spin-flip spectra)
 go through LAPACK's Hermitian solver.
 """
@@ -81,17 +83,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_unit(name: str, value):
+    """value as floats (a numpy scalar for a scalar), each checked to lie in [0, 1]."""
+    value = np.asarray(value, dtype=float)
+    bad = ~((0.0 <= value) & (value <= 1.0))  # also rejects NaN
+    if bad.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {value[bad][0]}")
+    return value[()]
+
+
 def xlog2(p):
     """Elementwise p*log2(p), 0 wherever p is not positive (0*log2(0) = 0).
 
-    The scalar path is bitwise equal to the array path."""
-    if np.ndim(p) == 0:
-        x = float(p)
-        return x * float(np.log2(x)) if x > 0.0 else 0.0
+    A scalar argument gives a numpy float scalar."""
     arr = np.asarray(p, dtype=float)
     pos = arr > 0.0
     out = np.log2(arr, out=np.zeros_like(arr), where=pos)
-    return np.multiply(arr, out, out=out, where=pos)
+    return np.multiply(arr, out, out=out, where=pos)[()]
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ class BellDiagonalParams:
 
     The state is physical exactly when all four Bell-basis eigenvalues
     are nonnegative; those eigenvalues are cheap closed forms in the c's.
+    Array fields of one shape hold a grid; every method covers each triple.
     """
 
     c1: float
@@ -126,7 +135,7 @@ class BellDiagonalParams:
     c3: float
 
     def bell_eigenvalues(self) -> np.ndarray:
-        """Spectrum in the fixed ordering (phi+, phi-, psi+, psi-)."""
+        """Spectrum in the fixed ordering (phi+, phi-, psi+, psi-), on the first axis."""
         c1, c2, c3 = self.c1, self.c2, self.c3
         return np.array(
             [
@@ -141,16 +150,22 @@ class BellDiagonalParams:
         return bool(self.bell_eigenvalues().min() >= -tol)
 
     def validate(self, tol: float = PSD_TOL) -> "BellDiagonalParams":
-        if not all(math.isfinite(c) for c in self.as_tuple()):
-            raise ValueError(f"correlation triple {self.as_tuple()} must be finite")
-        lam = self.bell_eigenvalues()
-        k = int(np.argmin(lam))
-        if lam[k] < -tol:
-            raise ValueError(
-                f"non-physical correlation triple ({self.c1}, {self.c2}, "
-                f"{self.c3}): Bell eigenvalue {BELL_LABELS[k]} = {lam[k]:.6f} < 0"
-            )
-        return self
+        """Return self if every triple is finite and physical, else name the first bad one."""
+        triples = np.array(self.as_tuple()).reshape(3, -1)  # rejects unequal shapes
+        lam = self.bell_eigenvalues().reshape(4, -1)
+        finite = np.isfinite(triples).all(axis=0)
+        bad = ~finite | (lam.min(axis=0) < -tol)
+        if not bad.any():
+            return self
+        i = int(np.argmax(bad))
+        c = tuple(triples[:, i].tolist())
+        if not finite[i]:
+            raise ValueError(f"correlation triple {c} must be finite")
+        k = int(np.argmin(lam[:, i]))
+        raise ValueError(
+            f"non-physical correlation triple {c}: "
+            f"Bell eigenvalue {BELL_LABELS[k]} = {lam[k, i]:.6f} < 0"
+        )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)
@@ -207,19 +222,24 @@ def density_violations(
 
     `tol` bounds the Hermiticity defect and |Tr - 1|; `psd_tol` bounds how
     negative the smallest eigenvalue may be. An empty list means valid.
+    `m` may be a stack of matrices (shape (..., d, d)); each magnitude is
+    then the worst over the stack. Non-finite entries raise ValueError.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix entries must be finite")
     out: list[Violation] = []
-    herm = float(np.abs(m - m.conj().T).max())
+    m_h = m.conj().swapaxes(-1, -2)
+    herm = float(np.abs(m - m_h).max(initial=0.0))
     if herm > tol:
         out.append(Violation("hermiticity", herm))
-    tr = float(abs(np.trace(m) - 1.0))
+    tr = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max(initial=0.0))
     if tr > tol:
         out.append(Violation("trace", tr))
     # Eigenvalues of the Hermitian part; meaningful whenever herm is small.
-    lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+    lam_min = float(np.linalg.eigvalsh((m + m_h) / 2.0).min(initial=0.0))
     if lam_min < -psd_tol:
         out.append(Violation("positivity", -lam_min))
     return out
@@ -243,15 +263,12 @@ def validate_density(
 
 
 def bell_diagonal_state(params) -> np.ndarray:
-    """(1/4)(I + sum_i c_i sigma_i (x) sigma_i) for a physical triple."""
-    p = as_bell_params(params).validate()
-    m = 0.25 * (
-        _I4
-        + p.c1 * np.kron(SIGMA_X, SIGMA_X)
-        + p.c2 * np.kron(SIGMA_Y, SIGMA_Y)
-        + p.c3 * np.kron(SIGMA_Z, SIGMA_Z)
-    )
-    return validate_density(m)
+    """(1/4)(I + sum_i c_i sigma_i (x) sigma_i) for a physical triple; array
+    fields of shape S give a validated stack of shape S + (4, 4)."""
+    m = _I4
+    for n, c in enumerate(as_bell_params(params).validate().as_tuple(), start=1):
+        m = m + np.asarray(c, dtype=float)[..., None, None] * _PAULI_PAIRS[n, n]
+    return validate_density(0.25 * m)
 
 
 def werner_state(z: float) -> np.ndarray:
@@ -259,9 +276,7 @@ def werner_state(z: float) -> np.ndarray:
 
     Identical to ``bell_diagonal_state((z, -z, z))`` up to rounding.
     """
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"werner parameter z must lie in [0, 1], got {z}")
+    z = float(_check_unit("werner parameter z", z))
     m = z * np.outer(_PHI_PLUS, _PHI_PLUS.conj()) + (1.0 - z) / 4.0 * _I4
     return validate_density(m)
 

@@ -207,3 +207,23 @@ class TestAngleContainers:
     def test_complementary_angles_validated(self):
         with pytest.raises(ValueError):
             ComplementaryAngles(0.0, 7.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("which", ["theta", "phi"])
+    def test_local_qubit_basis_rejects(self, which, bad):
+        with pytest.raises(ValueError):
+            local_qubit_basis(bad, 0.0) if which == "theta" else local_qubit_basis(0.0, bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_joint_distribution_rejects(self, bad):
+        with pytest.raises(ValueError):
+            JointDistribution([[bad, 0.0], [0.0, 1.0]])
+
+    def test_all_nan_table_is_rejected(self):
+        with pytest.raises(ValueError):
+            JointDistribution(np.full((2, 2), math.nan))

@@ -164,3 +164,32 @@ class TestTrajectories:
 
         (point,) = correlation_trajectory(0.7, [0.0], DEPOLARIZING)
         assert point.report == full_report((0.7, -0.7, 0.7))
+
+
+class TestWernerMapInputs:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 5.0, -0.1])
+    @pytest.mark.parametrize("param_map", [depolarized_werner_params, phase_damped_werner_params])
+    def test_rejects_bad_scalar_z(self, param_map, z):
+        with pytest.raises(ValueError, match="werner parameter z must lie in"):
+            param_map(z, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5])
+    @pytest.mark.parametrize("param_map", [depolarized_werner_params, phase_damped_werner_params])
+    def test_rejects_array_z_with_one_bad_value(self, param_map, bad):
+        z = np.linspace(0.0, 1.0, 7)
+        z[4] = bad
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            param_map(z, 0.0)
+
+    @pytest.mark.parametrize("param_map", [depolarized_werner_params, phase_damped_werner_params])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.95, 1.0])
+    def test_array_z_is_bitwise_equal_to_scalar_calls(self, param_map, gamma):
+        z = np.linspace(0.0, 1.0, 13)
+        batch = param_map(z, gamma).as_tuple()
+        for i, zi in enumerate(z):
+            single = param_map(float(zi), gamma).as_tuple()
+            assert [c[i].tobytes() for c in batch] == [np.float64(c).tobytes() for c in single]
+
+    @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
+    def test_empty_gamma_grid_gives_empty_trajectory(self, kind):
+        assert correlation_trajectory(0.5, [], kind) == []

@@ -15,6 +15,7 @@ from qcorr.bases import (
     rotate_to_basis,
 )
 from qcorr.channels import depolarizing_kraus, phase_damping_kraus
+from qcorr.correlations import concurrence, full_report
 from qcorr.qstate import (
     PAULIS,
     BellDiagonalParams,
@@ -198,3 +199,82 @@ def test_bloch_compose_matches_kron_loop_bitwise(rho):
     params = bloch_decompose(rho)
     want = _kron_loop_compose(BlochParams(params.x, params.y, params.T))
     assert bloch_compose(params).tobytes() == want.tobytes()
+
+
+# Triples at the edges of the tetrahedron, plus depolarizing z = 0.65,
+# gamma = 0.05, whose concurrence is exactly 0.3799375 (a 6-decimal half).
+EDGE_TRIPLES = [
+    (0.0, 0.0, 0.0),
+    (1.0, -1.0, 1.0),
+    (0.5, 0.5, -0.5),
+    (0.586625, -0.586625, 0.586625),
+]
+
+
+def _assert_batch_matches_per_triple(triples):
+    fields = np.array(triples, dtype=float).T
+    batch = full_report(BellDiagonalParams(*fields))
+    for i, triple in enumerate(triples):
+        single = full_report(triple)
+        for name, value in vars(single).items():
+            assert isinstance(value, float)
+            assert getattr(batch, name)[i].tobytes() == np.float64(value).tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(physical_triples(), max_size=30))
+def test_full_report_batch_is_bitwise_equal_to_per_triple(batch):
+    _assert_batch_matches_per_triple([p.as_tuple() for p in batch] + EDGE_TRIPLES)
+
+
+def test_full_report_batch_across_blocks_is_bitwise_equal():
+    # 600 triples span three blocks of the concurrence's matrix stacks.
+    rng = np.random.default_rng(11)
+    lam = rng.dirichlet(np.ones(4), size=600)
+    c = np.column_stack(
+        (
+            lam[:, 0] - lam[:, 1] + lam[:, 2] - lam[:, 3],
+            -lam[:, 0] + lam[:, 1] + lam[:, 2] - lam[:, 3],
+            lam[:, 0] + lam[:, 1] - lam[:, 2] - lam[:, 3],
+        )
+    )
+    _assert_batch_matches_per_triple([tuple(row) for row in c.tolist()])
+
+
+def test_full_report_keeps_grid_shape():
+    c = np.linspace(0.0, 0.3, 15).reshape(3, 5)
+    rep = full_report(BellDiagonalParams(c, -c, c))
+    assert all(np.shape(v) == (3, 5) for v in vars(rep).values())
+    empty = full_report(BellDiagonalParams(np.empty(0), np.empty(0), np.empty(0)))
+    assert all(np.shape(v) == (0,) for v in vars(empty).values())
+
+
+def test_xlog2_of_contiguous_array_matches_scalar_formula():
+    # A vectorized log2 loop may round differently from the one-element
+    # call; the pinned outputs were written with x * float(np.log2(x)).
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        (
+            rng.uniform(0.0, 1.0, 4000),
+            rng.uniform(0.0, 4.0, 2000),
+            np.exp(rng.uniform(-744.0, 700.0, 4000)),
+            [0.0, -0.0, -1.0, 0.5, 1.0, 2.0],
+        )
+    )
+    assert x.size >= 10**4 and x.flags.c_contiguous
+    want = [float(v) * float(np.log2(float(v))) if v > 0.0 else 0.0 for v in x]
+    assert xlog2(x).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(physical_triples(), min_size=1, max_size=20))
+def test_bell_diagonal_stack_is_bitwise_equal_to_per_triple(batch):
+    triples = [p.as_tuple() for p in batch] + EDGE_TRIPLES
+    stack = bell_diagonal_state(BellDiagonalParams(*np.array(triples).T))
+    assert stack.shape == (len(triples), 4, 4)
+    want = []
+    for rho, triple in zip(stack, triples):
+        assert rho.tobytes() == bell_diagonal_state(triple).tobytes()
+        single = concurrence(bell_diagonal_state(triple))
+        assert np.float64(single).tobytes() == concurrence(stack)[len(want)].tobytes()
+        want.append(single)

@@ -218,3 +218,40 @@ class TestValidateDensity:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             density_violations(np.eye(3) / 3)
+
+
+class TestNonFiniteAndStacks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [density_violations, validate_density])
+    def test_non_finite_entries_rejected(self, check, bad):
+        m = I4.astype(complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            check(m)
+
+    def test_stack_reports_worst_violation(self):
+        stack = np.stack([I4, I4 * 1.1, I4 * 0.95])
+        report = density_violations(stack)
+        assert [v.invariant for v in report] == ["trace"]
+        assert report[0].magnitude == pytest.approx(0.1, abs=1e-12)
+        assert density_violations(np.stack([I4, PHI_PLUS])) == []
+
+    def test_array_validate_names_first_bad_triple(self):
+        c = np.array([0.1, 0.9, 0.2, 1.0])
+        with pytest.raises(ValueError, match=r"\(0\.9, 0\.9, 0\.9\)"):
+            BellDiagonalParams(c, c, c).validate()
+        c3 = np.array([0.0, math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\(0\.0, 0\.9, nan\) must be finite"):
+            BellDiagonalParams(c * 0, c, c3).validate()
+
+    def test_empty_grid_gives_empty_stack(self):
+        empty = BellDiagonalParams(np.empty(0), np.empty(0), np.empty(0))
+        assert bell_diagonal_state(empty).shape == (0, 4, 4)
+
+    def test_fields_of_unequal_shape_rejected(self):
+        with pytest.raises(ValueError):
+            BellDiagonalParams(np.zeros(3), np.zeros(2), np.zeros(3)).validate()
+
+    def test_xlog2_scalar_gives_float(self):
+        assert isinstance(xlog2(0.5), float)
+        assert xlog2(0.5) == -0.5

@@ -85,3 +85,23 @@ def test_scan_matches_two_pass_reference(minimize, cells):
     flat = signed.reshape(-1)
     first = int(np.argmax(flat <= flat.min() + TIE_TOL))
     assert angles == divmod(first, 5)
+
+
+# Full-precision JSON, written before the quantifiers took arrays. The
+# 5x42 channel grid is the smallest where computing (1 - gamma)**2 with
+# numpy's array power (x * x) instead of libm pow changes a printed digit
+# of the JSON while leaving the CSV unchanged.
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["sweep"], "sweep_default.json"),
+        (
+            ["channel", "--channel", "depolarizing", "--z-steps", "5", "--gamma-steps", "42"],
+            "channel_depolarizing_z5_g42.json",
+        ),
+    ],
+)
+def test_full_precision_json_is_byte_identical(argv, pinned, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pinned).read_bytes()
