@@ -157,8 +157,16 @@ class JointDistribution:
         return self.p.sum(axis=0)
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def local_qubit_basis(theta: float, phi: float) -> QubitBasis:
     """Measurement basis at polar angle theta, azimuth phi."""
+    theta, phi = _finite("theta", theta), _finite("phi", phi)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     e = complex(math.cos(phi), math.sin(phi))
     return QubitBasis(np.array([c, s * e]), np.array([-s, c * e]))
@@ -173,6 +181,7 @@ def local_basis_pair(angles: LocalBasisAngles) -> tuple[QubitBasis, QubitBasis]:
 
 def complementary_qubit_basis(phi: float, computational: QubitBasis) -> QubitBasis:
     """Basis in the plane unbiased to ``computational``, at in-plane angle phi."""
+    phi = _finite("phi", phi)
     b0, b1 = computational.kets
     e = complex(math.cos(phi), math.sin(phi))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)

@@ -4,7 +4,9 @@ trajectories, and oracle verification, emitting CSV or JSON.
 Exit codes: 0 success, 2 invalid input, 3 oracle gap beyond tolerance.
 Data goes to files or stdout ('-'); errors go to stderr. Output files are
 written to a temporary name and atomically renamed, so a failed run never
-leaves a partial file behind.
+leaves a partial file behind. A symlinked output path is written through
+to its target, an existing target that is not a regular file is refused,
+and the file gets the mode open(path, "w") would give it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -76,18 +79,33 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"  # +0.0 normalizes -0.0
 
 
+def _output_mode(target: Path) -> int:
+    """The mode open(target, "w") would leave: the old file's, else 0o666 - umask."""
+    try:
+        st = target.stat()
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+    if not stat.S_ISREG(st.st_mode):
+        raise CliError(f"cannot write {target}: not a regular file")
+    return stat.S_IMODE(st.st_mode)
+
+
 def _emit(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
+    target = Path(os.path.realpath(path))  # write through symlinks
     try:
+        mode = _output_mode(target)
         fd, tmp = tempfile.mkstemp(
             dir=target.parent, prefix=target.name + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
+                os.fchmod(handle.fileno(), mode)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

@@ -18,15 +18,16 @@ cheap to enumerate. Ties within 1e-10 of the optimum resolve to the
 lexicographically smallest angle tuple, which prefers the standard
 computational basis whenever it is optimal.
 
-All three oracles share one search (:func:`_grid_search`): the product
-grid is streamed in row chunks in a single pass that keeps each row's
-extreme, and only the chunk holding the first tied row is evaluated
-again to locate the first tied column. Maximization is minimization of
-the negated table, which is exact in IEEE arithmetic, ties included.
+All three oracles share one search (:func:`_grid_search`), and every
+search minimizes: the LAQC evaluator tabulates minus the mutual
+information. The product grid is streamed in row chunks in a single pass
+that keeps each row's minimum, and only the chunk holding the first tied
+row is evaluated again to locate the first tied column.
 
-The grid evaluators run on the Bloch parametrization of projectors
+Every grid evaluator runs on the Bloch parametrization of projectors
 (p = (1/4)[1 + s a.x + t b.y + st a.T.b]), which is exact for any state;
-the value finally reported is recomputed at the winning angles through
+the two-sided outcome tables come from one kernel (:func:`_outcome_rows`).
+The value finally reported is recomputed at the winning angles through
 the explicit ket route, so the search path never fabricates the answer.
 Oracles compare against closed forms but never overwrite them:
 disagreement is surfaced as a recorded gap.
@@ -147,48 +148,42 @@ def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
 
 
-def _scan(grids, n_row_angles, table, minimize):
+def _scan(grids, n_row_angles, table):
     """(first lexicographic grid point within TIE_TOL of the minimum, minimum).
 
     The table has a row per point of the product of grids[:n_row_angles]
     and a column per point of the product of the rest; ``table(*grids)``
-    returns ``rows(lo, hi)``, the block of rows lo..hi, negated here when
-    maximizing. One pass over _CHUNK_ROWS-row chunks keeps each row's
-    minimum. The first row within TIE_TOL of the global minimum holds the
-    first tied entry, so only its chunk is evaluated again, with the same
-    bounds, to find the column.
+    returns ``rows(lo, hi)``, the block of rows lo..hi. One pass over
+    _CHUNK_ROWS-row chunks keeps each row's minimum. The first row within
+    TIE_TOL of the global minimum holds the first tied entry, so only its
+    chunk is evaluated again, with the same bounds, to find the column.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
     rows = table(*grids)
-
-    def block(lo: int) -> np.ndarray:
-        out = rows(lo, min(lo + _CHUNK_ROWS, n_rows))
-        return out if minimize else -out
-
     row_best = np.empty(n_rows)
     for lo in range(0, n_rows, _CHUNK_ROWS):
-        last = block(lo)
+        last = rows(lo, min(lo + _CHUNK_ROWS, n_rows))
         row_best[lo : lo + last.shape[0]] = last.min(axis=1)
     value = row_best.min()
     row = int(np.argmax(row_best <= value + TIE_TOL))
     lo = row - row % _CHUNK_ROWS
     if lo + _CHUNK_ROWS < n_rows:
-        last = block(lo)
+        last = rows(lo, lo + _CHUNK_ROWS)
     col = int(np.argmax(last[row - lo] <= value + TIE_TOL))
     idx = np.unravel_index(row * last.shape[1] + col, shape)
     return tuple(g[i] for g, i in zip(grids, idx)), value
 
 
-def _grid_search(grids, bounds, n_row_angles, table, minimize, refine):
-    """Arg-extreme of ``table`` (see :func:`_scan`) over the per-angle grids.
+def _grid_search(grids, bounds, n_row_angles, table, refine):
+    """Arg-min of ``table`` (see :func:`_scan`) over the per-angle grids.
 
     Refinement rescans a +-1 coarse cell window per angle, clipped to the
     angle's (lower, upper) bounds, and adopts the refined point only on a
     real improvement, so coarse lexicographic tie-breaking survives float
     noise.
     """
-    best, value = _scan(grids, n_row_angles, table, minimize)
+    best, value = _scan(grids, n_row_angles, table)
     if refine:
         windows = tuple(
             np.linspace(
@@ -198,10 +193,33 @@ def _grid_search(grids, bounds, n_row_angles, table, minimize, refine):
             )
             for g, center, (lower, upper) in zip(grids, best, bounds)
         )
-        refined, r_value = _scan(windows, n_row_angles, table, minimize)
+        refined, r_value = _scan(windows, n_row_angles, table)
         if r_value < value - TIE_TOL:
             best = refined
     return best
+
+
+def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
+    """Outcome tables of local projective measurements along unit axes.
+
+    Returns ``tables(lo, hi)``, which yields the clipped probabilities
+    p(s, t) for rows axes_a[lo:hi] and every axis in axes_b, one table at
+    a time in the outcome order (+,+), (+,-), (-,+), (-,-).
+    """
+    xa_all = axes_a @ bloch.x
+    yb = axes_b @ bloch.y
+    tb = bloch.T @ axes_b.T
+
+    def tables(lo: int, hi: int):
+        k = axes_a[lo:hi] @ tb
+        xa = xa_all[lo:hi, None]
+        for s in (1.0, -1.0):
+            for t in (1.0, -1.0):
+                p = 0.25 * (1.0 + s * xa + t * yb[None, :] + (s * t) * k)
+                np.clip(p, 0.0, 1.0, out=p)
+                yield p
+
+    return tables
 
 
 def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
@@ -212,21 +230,13 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     dephasing shares rho's diagonal, making the relative entropy
     S(dephased) - S(rho) with S(rho) fixed.
     """
-    axes_a = _bloch_axes(theta_a, phi_a)
-    xa_all = axes_a @ bloch.x
     axes_b = _bloch_axes(theta_b, phi_b)
-    yb = axes_b @ bloch.y
-    tb = bloch.T @ axes_b.T
+    tables = _outcome_rows(bloch, _bloch_axes(theta_a, phi_a), axes_b)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        k = axes_a[lo:hi] @ tb
-        xa = xa_all[lo:hi, None]
-        h = np.zeros_like(k)
-        for s in (1.0, -1.0):
-            for t in (1.0, -1.0):
-                p = 0.25 * (1.0 + s * xa + t * yb[None, :] + (s * t) * k)
-                np.clip(p, 0.0, 1.0, out=p)
-                h -= xlog2(p)
+        h = np.zeros((hi - lo, axes_b.shape[0]))
+        for p in tables(lo, hi):
+            h -= xlog2(p)
         return h
 
     return rows
@@ -258,7 +268,6 @@ def minimize_relative_entropy_basis(
         (_THETA_BOUNDS, _PHI_BOUNDS) * 2,
         2,
         functools.partial(_dephased_entropy_rows, bloch_decompose(rho)),
-        minimize=True,
         refine=grid.refine,
     )
     angles = LocalBasisAngles(
@@ -273,34 +282,24 @@ def minimize_relative_entropy_basis(
     return _result(rho, angles, mi, correlations.classical_correlations_bd)
 
 
-def _laqc_rows(rho: np.ndarray, comp_a, comp_b, phi_a, phi_b):
-    """Row evaluator of the mutual information of every (phi_a, phi_b)
+def _laqc_rows(bloch: BlochParams, comp_a, comp_b, phi_a, phi_b):
+    """Row evaluator of minus the mutual information of every (phi_a, phi_b)
     complementary-basis pair over the computational bases comp_*."""
-    rho4 = rho.reshape(2, 2, 2, 2)
-    # shape (grid, outcome, component)
-    kets_a = _complementary_kets(phi_a, comp_a)
-    kets_b = _complementary_kets(phi_b, comp_b)
+
+    def axes(phis, computational):
+        # The Bloch axis of the complementary basis turns with phi in the
+        # plane spanned by its axes at phi = 0 and pi/2.
+        e1, e2 = (complementary_qubit_basis(p, computational).axis() for p in (0.0, math.pi / 2))
+        return np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2
+
+    tables = _outcome_rows(bloch, axes(phi_a, comp_a), axes(phi_b, comp_b))
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        ka = kets_a[lo:hi]
-        p = np.einsum(
-            "aim,bjn,mnpq,aip,bjq->abij", ka.conj(), kets_b.conj(), rho4, ka, kets_b
-        ).real
-        np.clip(p, 0.0, 1.0, out=p)
-        h_joint = -xlog2(p).sum(axis=(2, 3))
-        h_a = -xlog2(p.sum(axis=3)).sum(axis=2)
-        h_b = -xlog2(p.sum(axis=2)).sum(axis=2)
-        return h_a + h_b - h_joint
+        pp, pm, mp, mm = tables(lo, hi)
+        marginals = xlog2(pp + pm) + xlog2(mp + mm) + xlog2(pp + mp) + xlog2(pm + mm)
+        return marginals - (xlog2(pp) + xlog2(pm) + xlog2(mp) + xlog2(mm))
 
     return rows
-
-
-def _complementary_kets(phis: np.ndarray, computational: QubitBasis) -> np.ndarray:
-    b0, b1 = computational.kets
-    e = np.exp(1j * phis)[:, None]
-    u0 = (b0[None, :] + e * b1[None, :]) / math.sqrt(2.0)
-    u1 = (b0[None, :] - e * b1[None, :]) / math.sqrt(2.0)
-    return np.stack([u0, u1], axis=1)
 
 
 def maximize_laqc(
@@ -317,8 +316,7 @@ def maximize_laqc(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, rho, comp_a, comp_b),
-        minimize=False,
+        functools.partial(_laqc_rows, bloch_decompose(rho), comp_a, comp_b),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -383,7 +381,6 @@ def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleR
         (_THETA_BOUNDS, _PHI_BOUNDS),
         1,
         functools.partial(_conditional_entropy_rows, bloch_decompose(rho)),
-        minimize=True,
         refine=grid.refine,
     )
     angles = LocalBasisAngles(_clamp_theta(best[0]), _wrap_phase(best[1]), 0.0, 0.0)

@@ -220,6 +220,18 @@ class TestNonFiniteInputs:
             local_qubit_basis(bad, 0.0) if which == "theta" else local_qubit_basis(0.0, bad)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("which", ["theta", "phi"])
+    def test_local_qubit_basis_names_the_angle(self, which, bad):
+        angles = {"theta": 0.3, "phi": 1.2, which: bad}
+        with pytest.raises(ValueError, match=f"^{which} must be finite"):
+            local_qubit_basis(angles["theta"], angles["phi"])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_complementary_qubit_basis_names_the_angle(self, bad):
+        with pytest.raises(ValueError, match="^phi must be finite"):
+            complementary_qubit_basis(bad, QubitBasis.standard())
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
     def test_joint_distribution_rejects(self, bad):
         with pytest.raises(ValueError):
             JointDistribution([[bad, 0.0], [0.0, 1.0]])

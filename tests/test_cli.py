@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import stat
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr.cli import main
 from qcorr.correlations import full_report
@@ -222,6 +228,46 @@ class TestBoundaries:
         assert code == 2 and "cannot write" in err
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
+    def test_fifo_output_is_refused_and_left_alone(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, "sweep", "--z-steps", "3", "--output", str(fifo))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not a regular file" in err
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_symlinked_output_writes_through_to_the_target(self, capsys, tmp_path):
+        target = tmp_path / "data.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(capsys, "sweep", "--z-steps", "3", "--output", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("z,classical")
+
+    def test_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "new.csv")
+        assert run(capsys, "sweep", "--z-steps", "3", "--output", str(link))[0] == 0
+        assert link.is_symlink() and (tmp_path / "new.csv").is_file()
+
+    def test_existing_output_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        assert run(capsys, "sweep", "--z-steps", "3", "--output", str(path))[0] == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_new_output_gets_the_umask_mode(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        old = os.umask(0o027)
+        try:
+            code = run(capsys, "sweep", "--z-steps", "3", "--output", str(path))[0]
+        finally:
+            os.umask(old)
+        assert code == 0 and stat.S_IMODE(path.stat().st_mode) == 0o640
+
     def test_verify_steps_above_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--werner", "0.5", "--steps", "129")
         assert code == 2 and out == ""
@@ -257,3 +303,75 @@ class TestParsing:
     def test_werner_out_of_range(self, capsys):
         code, _, err = run(capsys, "report", "--werner", "1.5")
         assert code == 2
+
+
+# Float text the parser accepts: repr of any float (subnormals included),
+# spellings float() takes for the extremes, and a few admissible values.
+FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "Infinity", "1e308", "-1e308", "-0.0", "5e-324", "-1e-320"]
+    ),
+    st.sampled_from(["0", "0.5", "-0.25", "1"]),
+)
+TRIPLE_TEXT = st.lists(FLOAT_TEXT, min_size=3, max_size=3).map(",".join)
+
+
+def wide_ints(cheap_max, cap):
+    # Below the minimum, a few cheap admissible sizes, and far above the cap.
+    return st.one_of(
+        st.integers(max_value=1), st.integers(2, cheap_max), st.integers(min_value=cap + 1)
+    ).map(str)
+
+
+def call(argv, codes=(0, 2)):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in codes
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+class TestCliRobustness:
+    """Arbitrary numeric flag text exits cleanly: never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flag=st.sampled_from(["--werner", "--bd"]),
+        text=FLOAT_TEXT,
+        triple=TRIPLE_TEXT,
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    def test_report(self, flag, text, triple, fmt):
+        value = text if flag == "--werner" else triple
+        call(["report", f"{flag}={value}", "--format", fmt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(triple=st.none() | TRIPLE_TEXT, steps=wide_ints(6, 10**6))
+    def test_sweep(self, triple, steps):
+        bd = [] if triple is None else [f"--bd={triple}"]
+        call(["sweep", *bd, f"--z-steps={steps}"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["depolarizing", "phase-damping"]),
+        z_steps=wide_ints(6, 10**6),
+        gamma_steps=wide_ints(6, 10**6),
+    )
+    def test_channel(self, kind, z_steps, gamma_steps):
+        steps = [f"--z-steps={z_steps}", f"--gamma-steps={gamma_steps}"]
+        call(["channel", "--channel", kind, *steps])
+
+    # Exit 3 (oracle gap) is the one further documented outcome: a 2-4 step
+    # grid can miss an asymmetric triple's optimum.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        flag=st.sampled_from(["--werner", "--bd"]),
+        text=FLOAT_TEXT,
+        triple=TRIPLE_TEXT,
+        steps=st.integers(2, 4).map(str) | wide_ints(4, 128),
+    )
+    def test_verify(self, flag, text, triple, steps):
+        value = text if flag == "--werner" else triple
+        call(["verify", f"{flag}={value}", f"--steps={steps}"], codes=(0, 2, 3))

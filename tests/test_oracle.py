@@ -5,7 +5,9 @@ import pytest
 
 from qcorr.bases import (
     QubitBasis,
+    complementary_qubit_basis,
     dephase_in_basis,
+    joint_projective_distribution,
     local_basis_pair,
     local_qubit_basis,
 )
@@ -14,15 +16,17 @@ from qcorr.correlations import (
     discord_bd,
     discord_werner,
     laqc_bd,
+    mutual_information,
 )
 from qcorr.oracle import (
     GridSpec,
+    _laqc_rows,
     audit_closed_forms,
     brute_force_discord,
     maximize_laqc,
     minimize_relative_entropy_basis,
 )
-from qcorr.qstate import bell_diagonal_state, relative_entropy, werner_state
+from qcorr.qstate import bell_diagonal_state, bloch_decompose, relative_entropy, werner_state
 
 # Small grids keep the unit tests quick; the acceptance suite runs the
 # full 64-step searches.
@@ -30,6 +34,8 @@ SMALL = GridSpec(steps_theta=16, steps_phi=16, steps_comp_phi=16)
 MEDIUM = GridSpec(steps_theta=32, steps_phi=32, steps_comp_phi=32)
 
 STANDARD_PAIR = (QubitBasis.standard(), QubitBasis.standard())
+X_PAIR = (local_qubit_basis(math.pi / 2, 0.0), local_qubit_basis(math.pi / 2, 0.0))
+GENERIC_PAIR = (local_qubit_basis(0.9, 1.3), local_qubit_basis(2.1, 4.0))
 
 
 class TestGridSpec:
@@ -118,6 +124,27 @@ class TestLaqcOracle:
         assert res.objective == pytest.approx(
             correlation_entropy_function(0.5), abs=1e-4
         )
+
+
+@pytest.mark.parametrize("pair", [X_PAIR, GENERIC_PAIR], ids=["x", "generic"])
+def test_laqc_table_matches_ket_route(pair):
+    # The search table runs on Bloch parameters; every entry must equal
+    # minus the mutual information of the explicit ket-route distribution.
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    phis = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    table = _laqc_rows(bloch_decompose(rho), *pair, phis, phis)(0, phis.size)
+    assert table.shape == (8, 8)
+    for i, phi_a in enumerate(phis):
+        for j, phi_b in enumerate(phis):
+            dist = joint_projective_distribution(
+                rho,
+                complementary_qubit_basis(phi_a, pair[0]),
+                complementary_qubit_basis(phi_b, pair[1]),
+            )
+            assert table[i, j] == pytest.approx(-mutual_information(dist), abs=1e-12)
 
 
 class TestDiscordOracle:
