@@ -93,12 +93,13 @@ class QubitBasis:
     def __post_init__(self):
         k0 = np.asarray(self.ket0, dtype=complex).reshape(2)
         k1 = np.asarray(self.ket1, dtype=complex).reshape(2)
-        gram = np.array(
-            [
-                [k0.conj() @ k0, k0.conj() @ k1],
-                [k1.conj() @ k0, k1.conj() @ k1],
-            ]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite grams fail below
+            gram = np.array(
+                [
+                    [k0.conj() @ k0, k0.conj() @ k1],
+                    [k1.conj() @ k0, k1.conj() @ k1],
+                ]
+            )
         if not np.abs(gram - np.eye(2)).max() <= ORTHONORMALITY_TOL:  # also rejects NaN
             raise ValueError("basis vectors are not orthonormal")
         k0.flags.writeable = False

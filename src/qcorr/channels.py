@@ -20,6 +20,11 @@ fixed for phase damping). Those maps are the primary computation path;
 the explicit Kraus route exists to verify them. They take z as a scalar
 or an array (triple fields of z's shape). gamma itself is the
 dissipation coordinate; no time parametrization is imposed.
+
+WERNER_MAPS is the one table of channel kinds: it maps each kind to its
+Werner map, KrausChannel checks kinds against it, and the CLI spells its
+--channel choices from it. Both the trajectory and the CLI's (z, gamma)
+table take their triples from one grid builder over that table.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ COMPLETENESS_TOL = 1e-12
 
 DEPOLARIZING = "depolarizing"
 PHASE_DAMPING = "phase_damping"
-CHANNEL_KINDS = (DEPOLARIZING, PHASE_DAMPING)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -72,15 +76,17 @@ class KrausChannel:
             arr.flags.writeable = False
             ops.append(arr)
         object.__setattr__(self, "operators", tuple(ops))
-        if self.kind not in CHANNEL_KINDS:
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        if self.kind not in tuple(WERNER_MAPS):  # a tuple: unhashable kinds are unknown too
             raise ValueError(f"unknown channel kind {self.kind!r}")
         defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # a non-finite entry makes it inf or NaN
             raise ValueError(f"Kraus completeness violated by {defect:.3e}")
 
     def completeness_defect(self) -> float:
         """Largest entry of |sum_k E_k^dagger E_k - I|."""
-        acc = sum(op.conj().T @ op for op in self.operators)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or NaN
+            acc = sum(op.conj().T @ op for op in self.operators)
         return float(np.abs(acc - np.eye(2)).max())
 
 
@@ -137,20 +143,27 @@ def phase_damped_werner_params(z: float, gamma: float) -> BellDiagonalParams:
     return BellDiagonalParams(zp, -zp, z)
 
 
-_PARAM_MAPS = {
+WERNER_MAPS = {
     DEPOLARIZING: depolarized_werner_params,
     PHASE_DAMPING: phase_damped_werner_params,
 }
+
+
+def _werner_grid(kind: str, z, gammas: Iterable[float]) -> BellDiagonalParams:
+    """Werner z's triples per gamma, fields of shape np.shape(z) + (len(gammas),)."""
+    if kind not in WERNER_MAPS:
+        raise ValueError(f"channel kind must be one of {tuple(WERNER_MAPS)}, got {kind!r}")
+    by_gamma = [WERNER_MAPS[kind](z, gamma).as_tuple() for gamma in gammas]
+    c = np.array(by_gamma, dtype=float).reshape(len(by_gamma), 3, *np.shape(z))
+    return BellDiagonalParams(*np.moveaxis(c, 0, -1))
 
 
 def correlation_trajectory(
     z: float, gammas: Iterable[float] | Sequence[float], kind: str
 ) -> list[TrajectoryPoint]:
     """Quantifier trajectory of a Werner state along a channel-strength grid."""
-    if kind not in _PARAM_MAPS:
-        raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
     gammas = [float(gamma) for gamma in gammas]
-    params = [_PARAM_MAPS[kind](z, gamma) for gamma in gammas]
-    c = np.array([p.as_tuple() for p in params], dtype=float).reshape(-1, 3)
-    rows = zip(*(np.ravel(v) for v in vars(full_report(BellDiagonalParams(*c.T))).values()))
-    return [TrajectoryPoint(g, p, CorrelationReport(*r)) for g, p, r in zip(gammas, params, rows)]
+    params = _werner_grid(kind, z, gammas)
+    triples = (BellDiagonalParams(*c) for c in zip(*params.as_tuple()))
+    rows = zip(*vars(full_report(params)).values())
+    return [TrajectoryPoint(g, p, CorrelationReport(*r)) for g, p, r in zip(gammas, triples, rows)]

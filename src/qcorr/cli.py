@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import depolarized_werner_params, phase_damped_werner_params
+from .channels import WERNER_MAPS, _werner_grid
 from .correlations import full_report
 from .oracle import GridSpec, audit_closed_forms
 from .qstate import BellDiagonalParams
@@ -38,11 +38,6 @@ _MAX_ROWS = 10**6
 
 SWEEP_COLUMNS = ("z", "classical", "laqc", "discord", "concurrence")
 CHANNEL_COLUMNS = ("z", "gamma", "c1", "c2", "c3", *SWEEP_COLUMNS[1:])
-
-_CHANNEL_FLAGS = {
-    "depolarizing": depolarized_werner_params,
-    "phase-damping": phase_damped_werner_params,
-}
 
 
 class CliError(Exception):
@@ -71,7 +66,7 @@ def _state_params(args) -> tuple[BellDiagonalParams, str]:
         z = args.werner
         if not 0.0 <= z <= 1.0:
             raise CliError(f"--werner expects z in [0, 1], got {z}")
-        return BellDiagonalParams(z, -z, z), f"werner z={z:.6f}"
+        return BellDiagonalParams(z, -z, z), f"werner z={_fmt(z)}"
     return _bd_params(args.bd), "bell-diagonal"
 
 
@@ -130,9 +125,9 @@ def cmd_report(args) -> int:
 
 
 def _write_table(args, columns, leading, params: BellDiagonalParams) -> int:
-    """Write the leading columns and the quantifiers of every triple in params."""
-    rep = full_report(params)
-    table = np.column_stack((*leading, rep.classical, rep.laqc, rep.discord, rep.concurrence))
+    """Write the leading columns and params' quantifiers, one row per element in C order."""
+    rep = vars(full_report(params))
+    table = np.column_stack([np.ravel(c) for c in (*leading, *map(rep.get, SWEEP_COLUMNS[1:]))])
     if args.format == "json":
         text = json.dumps([dict(zip(columns, row)) for row in table.tolist()], indent=2)
     else:  # row by row: no Python float object for every cell at once
@@ -160,17 +155,13 @@ def cmd_channel(args) -> int:
         raise CliError(f"--z-steps x --gamma-steps must be at most {_MAX_ROWS} rows")
     z = np.linspace(0.0, 1.0, args.z_steps)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
-    # One map call per gamma over the whole z grid; rows run z-major.
-    by_gamma = [_CHANNEL_FLAGS[args.channel](z, gamma).as_tuple() for gamma in gammas]
-    c1, c2, c3 = (np.array(c).T.ravel() for c in zip(*by_gamma))
-    leading = (np.repeat(z, gammas.size), np.tile(gammas, z.size), c1, c2, c3)
-    return _write_table(args, CHANNEL_COLUMNS, leading, BellDiagonalParams(c1, c2, c3))
+    params = _werner_grid(args.channel.replace("-", "_"), z, gammas)
+    leading = (*np.meshgrid(z, gammas, indexing="ij"), *params.as_tuple())
+    return _write_table(args, CHANNEL_COLUMNS, leading, params)
 
 
 def cmd_verify(args) -> int:
     params, label = _state_params(args)
-    if args.steps < 2:
-        raise CliError(f"--steps must be at least 2, got {args.steps}")
     try:
         grid = GridSpec(args.steps, args.steps, args.steps)
     except ValueError as exc:
@@ -250,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     channel = sub.add_parser("channel", help="werner quantifiers under decoherence")
-    channel.add_argument(
-        "--channel", choices=tuple(_CHANNEL_FLAGS), required=True, help="channel kind"
-    )
+    kinds = tuple(kind.replace("_", "-") for kind in WERNER_MAPS)
+    channel.add_argument("--channel", choices=kinds, required=True, help="channel kind")
     channel.add_argument("--z-steps", type=int, default=21, metavar="N")
     channel.add_argument("--gamma-steps", type=int, default=21, metavar="N")
     _add_output_flags(channel)

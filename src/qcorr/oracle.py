@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("steps_theta", "steps_phi", "steps_comp_phi"):
-            if not 2 <= getattr(self, name) <= _MAX_STEPS:
+            steps = getattr(self, name)
+            if not isinstance(steps, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {steps!r}")
+            if not 2 <= steps <= _MAX_STEPS:
                 raise ValueError(f"{name} must lie in [2, {_MAX_STEPS}]")
 
 

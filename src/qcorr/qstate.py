@@ -152,7 +152,8 @@ class BellDiagonalParams:
     def validate(self, tol: float = PSD_TOL) -> "BellDiagonalParams":
         """Return self if every triple is finite and physical, else name the first bad one."""
         triples = np.array(self.as_tuple()).reshape(3, -1)  # rejects unequal shapes
-        lam = self.bell_eigenvalues().reshape(4, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums fail below
+            lam = self.bell_eigenvalues().reshape(4, -1)
         finite = np.isfinite(triples).all(axis=0)
         bad = ~finite | (lam.min(axis=0) < -tol)
         if not bad.any():

@@ -51,6 +51,32 @@ class TestKrausSets:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel((np.eye(2) * 0.5,), 0.0, DEPOLARIZING)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_operators(self, bad):
+        op = np.eye(2, dtype=complex)
+        op[1, 0] = bad
+        with pytest.raises(ValueError, match=r"completeness violated by (nan|inf)"):
+            KrausChannel((op,), 0.0, DEPOLARIZING)
+
+    def test_rejects_overflowing_operators_without_a_warning(self):
+        op = np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex)
+        with pytest.raises(ValueError, match="completeness violated by inf"):
+            KrausChannel((op,), 0.0, DEPOLARIZING)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 5.0, -0.5])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="interaction parameter gamma"):
+            KrausChannel((np.eye(2),), gamma, PHASE_DAMPING)
+
+    def test_gamma_is_stored_as_a_float(self):
+        ch = KrausChannel((np.eye(2),), np.float64(0.25), PHASE_DAMPING)
+        assert type(ch.gamma) is float and ch.gamma == 0.25
+
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase-damping", None, ["depolarizing"]])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            KrausChannel((np.eye(2),), 0.0, kind)
+
 
 class TestApplyProductChannel:
     @pytest.mark.parametrize("factory", [depolarizing_kraus, phase_damping_kraus])

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr.cli import main
+from qcorr.channels import WERNER_MAPS, correlation_trajectory
+from qcorr.cli import SWEEP_COLUMNS, build_parser, main
 from qcorr.correlations import full_report
 from qcorr.oracle import GridSpec
 from qcorr.qstate import BellDiagonalParams
@@ -185,6 +187,48 @@ class TestChannel:
         assert exc.value.code == 2
 
 
+def _channel_choices():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (flag,) = (a for a in sub.choices["channel"]._actions if "--channel" in a.option_strings)
+    return flag.choices
+
+
+class TestChannelTable:
+    """The CLI table and the library trajectory come from one kind table and grid."""
+
+    def test_choices_are_the_table_kinds(self):
+        assert _channel_choices() == tuple(k.replace("_", "-") for k in WERNER_MAPS)
+
+    @pytest.mark.parametrize("kind", list(WERNER_MAPS))
+    @pytest.mark.parametrize("z_steps, gamma_steps", [(21, 21), (5, 42), (23, 107)])
+    def test_json_rows_equal_the_trajectory(self, capsys, kind, z_steps, gamma_steps):
+        code, out, _ = run(
+            capsys,
+            "channel",
+            f"--channel={kind.replace('_', '-')}",
+            f"--z-steps={z_steps}",
+            f"--gamma-steps={gamma_steps}",
+            "--format=json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        gammas = np.linspace(0.0, 1.0, gamma_steps)
+        for i, z in enumerate(np.linspace(0.0, 1.0, z_steps)):
+            want = [
+                {
+                    "z": z,
+                    "gamma": p.gamma,
+                    **dict(zip(("c1", "c2", "c3"), p.params.as_tuple())),
+                    **{k: getattr(p.report, k) for k in SWEEP_COLUMNS[1:]},
+                }
+                for p in correlation_trajectory(z, gammas, kind)
+            ]
+            # repr keeps the sign of zero, which == would not compare.
+            got = rows[i * gamma_steps : (i + 1) * gamma_steps]
+            assert repr(got) == repr([{k: float(v) for k, v in w.items()} for w in want])
+
+
 class TestVerify:
     def test_werner_gaps_within_tolerance(self, capsys):
         code, out, _ = run(capsys, "verify", "--werner", "0.5", "--steps", "16")
@@ -204,6 +248,16 @@ class TestVerify:
     def test_invalid_state_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--bd", "2,0,0")
         assert code == 2 and err != ""
+
+    def test_negative_zero_werner_label(self, capsys):
+        code, out, _ = run(capsys, "verify", "--werner=-0.0", "--steps", "4")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "state: werner z=0.000000 (c1, c2, c3) = (0.000000, 0.000000, 0.000000)"
+        )
+        # JSON stays raw, as in the pinned channel data.
+        code, out, _ = run(capsys, "report", "--werner=-0.0", "--format", "json")
+        assert code == 0 and '"c1": -0.0' in out
 
 
 class TestBoundaries:
@@ -272,6 +326,11 @@ class TestBoundaries:
         code, out, err = run(capsys, "verify", "--werner", "0.5", "--steps", "129")
         assert code == 2 and out == ""
         assert "[2, 128]" in err
+
+    def test_verify_steps_below_minimum_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--werner", "0.5", "--steps", "1")
+        assert code == 2 and out == ""
+        assert err == "error: --steps 1: steps_theta must lie in [2, 128]\n"
 
     def test_grid_spec_rejects_steps_above_cap(self):
         with pytest.raises(ValueError, match=r"\[2, 128\]"):

@@ -43,6 +43,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(steps_theta=1)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, math.nan, "4"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(steps, 4, 4)
+
+    def test_accepts_numpy_integers(self):
+        grid = GridSpec(np.int64(4), np.int32(4), np.uint8(4), refine=False)
+        res = minimize_relative_entropy_basis(werner_state(0.5), grid)
+        assert res == minimize_relative_entropy_basis(werner_state(0.5), GridSpec(4, 4, 4, False))
+
 
 class TestClassicalOracle:
     def test_werner_finds_standard_basis(self):

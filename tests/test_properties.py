@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcorr.bases import (
     LocalBasisAngles,
+    QubitBasis,
     dephase_in_basis,
     joint_projective_distribution,
     local_basis_pair,
     rotate_to_basis,
 )
-from qcorr.channels import depolarizing_kraus, phase_damping_kraus
+from qcorr.channels import WERNER_MAPS, KrausChannel, depolarizing_kraus, phase_damping_kraus
 from qcorr.correlations import concurrence, full_report
+from qcorr.oracle import GridSpec
 from qcorr.qstate import (
     PAULIS,
     BellDiagonalParams,
@@ -27,6 +29,7 @@ from qcorr.qstate import (
     partial_trace,
     relative_entropy,
     von_neumann_entropy,
+    werner_state,
     xlog2,
 )
 
@@ -133,8 +136,15 @@ def test_channel_completeness(gamma, factory):
     assert factory(gamma).completeness_defect() <= 1e-12
 
 
+# x log2 x overflows to inf near the float max; that float is always tried.
+FLOAT_MAX = 1.7976931348623157e308
+XLOG2_OVERFLOW = "ignore:overflow encountered in multiply:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(XLOG2_OVERFLOW)
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=True, allow_infinity=True))
+@example(FLOAT_MAX)
 def test_xlog2_scalar_path_is_bitwise_equal_to_array_path(x):
     scalar = np.float64(xlog2(x)).tobytes()
     with np.errstate(over="ignore"):  # x log2 x overflows near the float max
@@ -148,8 +158,10 @@ def _masked_xlog2(arr):
     return out
 
 
+@pytest.mark.filterwarnings(XLOG2_OVERFLOW)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+@example([FLOAT_MAX])
 def test_xlog2_matches_masked_reference_bitwise(values):
     arr = np.array(values)
     with np.errstate(over="ignore"):
@@ -278,3 +290,92 @@ def test_bell_diagonal_stack_is_bitwise_equal_to_per_triple(batch):
         single = concurrence(bell_diagonal_state(triple))
         assert np.float64(single).tobytes() == concurrence(stack)[len(want)].tobytes()
         want.append(single)
+
+
+# Constructor robustness: non-finite, extreme, subnormal and signed-zero
+# input gives a valid object or a ValueError, never another exception
+# (warnings fail the suite too) and never an object holding a NaN.
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e308, -1e308, FLOAT_MAX, 5e-324, -5e-324, -0.0]
+    ),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]),
+)
+
+
+def _built_or_value_error(make):
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+def _assert_finite(*arrays):
+    for a in arrays:
+        assert np.isfinite(np.asarray(a, dtype=complex)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXTREME_FLOATS, EXTREME_FLOATS, EXTREME_FLOATS, st.booleans())
+def test_bell_params_validate_extremes(c1, c2, c3, as_arrays):
+    params = BellDiagonalParams(*(np.array([c]) if as_arrays else c for c in (c1, c2, c3)))
+    out = _built_or_value_error(params.validate)
+    if out is not None:
+        _assert_finite(*out.as_tuple())
+        assert out.is_physical()
+
+
+@settings(max_examples=80, deadline=None)
+@given(EXTREME_FLOATS)
+def test_werner_state_extremes(z):
+    rho = _built_or_value_error(lambda: werner_state(z))
+    if rho is not None:
+        _assert_finite(rho)
+        assert 0.0 <= z <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EXTREME_FLOATS, min_size=4, max_size=4))
+def test_qubit_basis_extremes(entries):
+    basis = _built_or_value_error(lambda: QubitBasis(entries[:2], entries[2:]))
+    if basis is not None:
+        _assert_finite(*basis.kets)
+
+
+STEPS = st.one_of(
+    EXTREME_FLOATS,
+    st.floats(2.0, 128.0),
+    st.integers(-(2**70), 2**70),
+    st.integers(0, 130).map(np.int64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STEPS, min_size=3, max_size=3))
+def test_grid_spec_extremes(steps):
+    if _built_or_value_error(lambda: GridSpec(*steps)) is not None:
+        assert all(isinstance(s, (int, np.integer)) and 2 <= s <= 128 for s in steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(EXTREME_FLOATS, min_size=4, max_size=4),
+    EXTREME_FLOATS,
+    st.sampled_from(list(WERNER_MAPS)),
+)
+def test_kraus_channel_extremes(entries, gamma, kind):
+    op = np.array(entries).reshape(2, 2)
+    ch = _built_or_value_error(lambda: KrausChannel((op,), gamma, kind))
+    if ch is not None:
+        _assert_finite(*ch.operators, ch.gamma)
+        assert ch.completeness_defect() <= 1e-12 and 0.0 <= ch.gamma <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXTREME_FLOATS, EXTREME_FLOATS, st.sampled_from(list(WERNER_MAPS.values())))
+def test_werner_maps_extremes(z, gamma, param_map):
+    params = _built_or_value_error(lambda: param_map(z, gamma))
+    if params is not None:
+        _assert_finite(*params.as_tuple())
+        assert params.is_physical(tol=1e-12)
