@@ -153,6 +153,7 @@ def _werner_grid(kind: str, z, gammas: Iterable[float]) -> BellDiagonalParams:
     """Werner z's triples per gamma, fields of shape np.shape(z) + (len(gammas),)."""
     if kind not in WERNER_MAPS:
         raise ValueError(f"channel kind must be one of {tuple(WERNER_MAPS)}, got {kind!r}")
+    z = _check_unit("werner parameter z", z)  # an empty gammas makes no map call
     by_gamma = [WERNER_MAPS[kind](z, gamma).as_tuple() for gamma in gammas]
     c = np.array(by_gamma, dtype=float).reshape(len(by_gamma), 3, *np.shape(z))
     return BellDiagonalParams(*np.moveaxis(c, 0, -1))

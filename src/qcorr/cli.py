@@ -56,7 +56,7 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 def _bd_params(text: str) -> BellDiagonalParams:
     try:
-        return BellDiagonalParams(*_parse_triple(text)).validate()
+        return BellDiagonalParams(*_parse_triple(text))
     except ValueError as exc:
         raise CliError(str(exc)) from None
 

@@ -107,20 +107,15 @@ def laqc_bd(params) -> float:
 
 
 def _total_mutual_information_bd(p: BellDiagonalParams) -> float:
-    # I(rho) = sum_k (a_k / 4) log2 a_k over the four eigenvalue arguments
-    # a_k = 4 lambda_k; exact closed form, no eigensolver.
-    a = (
-        1.0 - p.c1 - p.c2 - p.c3,
-        1.0 - p.c1 + p.c2 + p.c3,
-        1.0 + p.c1 - p.c2 + p.c3,
-        1.0 + p.c1 + p.c2 - p.c3,
-    )
-    return 0.25 * sum(xlog2(v) for v in a)
+    # I(rho) = sum_k (a_k / 4) log2 a_k with a_k = 4 lambda_k, exact since 4
+    # undoes the eigenvalues' / 4; the pinned outputs sum psi-, phi-, phi+, psi+.
+    a = 4.0 * p.bell_eigenvalues()
+    return 0.25 * sum(xlog2(a[k]) for k in (3, 1, 0, 2))
 
 
 def discord_bd(params) -> float:
     """Bell-diagonal quantum discord: I(rho) - f(c), c = max_i |c_i|."""
-    p = as_bell_params(params).validate()
+    p = as_bell_params(params)
     c = np.maximum(np.maximum(np.abs(p.c1), np.abs(p.c2)), np.abs(p.c3))
     d = _total_mutual_information_bd(p) - correlation_entropy_function(c)
     return np.where((-1e-12 < d) & (d < 0.0), 0.0, d)[()]
@@ -174,7 +169,7 @@ def _concurrence_bd(p: BellDiagonalParams) -> float:
 
 def full_report(params) -> CorrelationReport:
     """Every quantifier of the Bell-diagonal state with the given triple(s)."""
-    p = as_bell_params(params).validate()
+    p = as_bell_params(params)
     c_min, c_max = _selected(p)
     return CorrelationReport(
         classical=_snap(classical_correlations_bd(p)),

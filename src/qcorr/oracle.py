@@ -59,6 +59,7 @@ from .qstate import (
     bell_diagonal_state,
     bloch_decompose,
     partial_trace,
+    validate_density,
     von_neumann_entropy,
     xlog2,
 )
@@ -264,7 +265,7 @@ def minimize_relative_entropy_basis(
     at the minimizing basis, which is the classical-correlations estimate
     the closed form f(c_min) is checked against.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_density(rho)
     thetas = _theta_grid(grid.steps_theta)
     phis = _phi_grid(grid.steps_phi)
     best = _grid_search(
@@ -313,7 +314,7 @@ def maximize_laqc(
 ) -> OracleResult:
     """Search (phi_a, phi_b) independently for maximal complementary-basis
     mutual information over the supplied computational bases."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_density(rho)
     comp_a, comp_b = computational
     phis = _phi_grid(grid.steps_comp_phi)
     best = _grid_search(
@@ -379,7 +380,7 @@ def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
 def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleResult:
     """Minimize I(rho) - [S(rho_B) - sum_i p_i S(rho_B|i)] over projective
     measurements on A parametrized by (theta_a, phi_a)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_density(rho)
     best = _grid_search(
         (_theta_grid(grid.steps_theta), _phi_grid(grid.steps_phi)),
         (_THETA_BOUNDS, _PHI_BOUNDS),
@@ -401,7 +402,7 @@ def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:
     to pick the largest-|c| axis while the closed form selects
     min{|c2|, |c3|}, and this audit exists to measure that.
     """
-    p = as_bell_params(params).validate()
+    p = as_bell_params(params)
     rho = bell_diagonal_state(p)
     standard = (QubitBasis.standard(), QubitBasis.standard())
     return ClosedFormAudit(

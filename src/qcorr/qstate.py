@@ -6,8 +6,11 @@ so any state in circulation is Hermitian, unit-trace, and positive
 semidefinite, and is returned as a read-only array.
 
 Bell-diagonal states are handled through their correlation triple
-(c1, c2, c3); their spectrum is always taken from the four closed-form
-Bell-basis eigenvalues rather than a numerical eigensolver. The triple's
+(c1, c2, c3), checked when it is built: finite, and physical within
+PSD_TOL, so no closed form sees a bad one; validate(tol) and
+is_physical(tol) re-check it at a tighter tol. Its spectrum is always the
+four closed-form Bell-basis eigenvalues, spelled only in
+:class:`BellDiagonalParams`, never a numerical eigensolver. The triple's
 fields may be float arrays of one shape, a grid of triples; equality and
 hashing of :class:`BellDiagonalParams` are for scalar triples only. The general
 Hermitian eigenproblems (entropy of arbitrary states, spin-flip spectra)
@@ -128,11 +131,15 @@ class BellDiagonalParams:
     The state is physical exactly when all four Bell-basis eigenvalues
     are nonnegative; those eigenvalues are cheap closed forms in the c's.
     Array fields of one shape hold a grid; every method covers each triple.
+    Building one runs :meth:`validate`, so a bad triple raises ValueError.
     """
 
     c1: float
     c2: float
     c3: float
+
+    def __post_init__(self):
+        self.validate()
 
     def bell_eigenvalues(self) -> np.ndarray:
         """Spectrum in the fixed ordering (phi+, phi-, psi+, psi-), on the first axis."""
@@ -147,10 +154,12 @@ class BellDiagonalParams:
         )
 
     def is_physical(self, tol: float = PSD_TOL) -> bool:
+        """Every Bell eigenvalue >= -tol; built triples pass the default, so pass a tighter tol."""
         return bool(self.bell_eigenvalues().min() >= -tol)
 
     def validate(self, tol: float = PSD_TOL) -> "BellDiagonalParams":
-        """Return self if every triple is finite and physical, else name the first bad one."""
+        """Return self if every triple is finite and physical, else name the first bad one;
+        construction runs this at the default tol, so call it to re-check at a tighter one."""
         triples = np.array(self.as_tuple()).reshape(3, -1)  # rejects unequal shapes
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums fail below
             lam = self.bell_eigenvalues().reshape(4, -1)
@@ -210,7 +219,8 @@ class BlochParams:
         )
 
     def diagonal_correlations(self) -> BellDiagonalParams:
-        """Read (c1, c2, c3) off the T diagonal; caller checks is_bell_diagonal."""
+        """Read (c1, c2, c3) off the T diagonal; caller checks is_bell_diagonal.
+        The triple is checked as it is built: a non-physical diagonal raises ValueError."""
         return BellDiagonalParams(*(float(v) for v in np.diag(self.T)))
 
 
@@ -267,7 +277,7 @@ def bell_diagonal_state(params) -> np.ndarray:
     """(1/4)(I + sum_i c_i sigma_i (x) sigma_i) for a physical triple; array
     fields of shape S give a validated stack of shape S + (4, 4)."""
     m = _I4
-    for n, c in enumerate(as_bell_params(params).validate().as_tuple(), start=1):
+    for n, c in enumerate(as_bell_params(params).as_tuple(), start=1):
         m = m + np.asarray(c, dtype=float)[..., None, None] * _PAULI_PAIRS[n, n]
     return validate_density(0.25 * m)
 

@@ -216,6 +216,12 @@ class TestWernerMapInputs:
             single = param_map(float(zi), gamma).as_tuple()
             assert [c[i].tobytes() for c in batch] == [np.float64(c).tobytes() for c in single]
 
+    @pytest.mark.parametrize("z", [5.0, math.nan, -0.1])
+    @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
+    def test_empty_gamma_grid_still_checks_z(self, kind, z):
+        with pytest.raises(ValueError, match="werner parameter z must lie in"):
+            correlation_trajectory(z, [], kind)
+
     @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
     def test_empty_gamma_grid_gives_empty_trajectory(self, kind):
         assert correlation_trajectory(0.5, [], kind) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestClassicalAndLaqc:
         assert laqc_bd(params) == pytest.approx(
             correlation_entropy_function(0.7), abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [((0.9, 0.9, 0.9), "non-physical"), ((math.nan, 0.0, 0.0), "must be finite")],
+    )
+    @pytest.mark.parametrize("quantifier", [classical_correlations_bd, laqc_bd])
+    def test_rejects_bad_triple(self, quantifier, triple, message):
+        with pytest.raises(ValueError, match=message):
+            quantifier(triple)
 
     def test_equal_whenever_selections_coincide(self):
         for z in Z_GRID:

@@ -202,3 +202,22 @@ class TestAudit:
         a = brute_force_discord(rho, SMALL)
         b = brute_force_discord(swapped, SMALL)
         assert a.objective == pytest.approx(b.objective, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [(2.0 * np.eye(4), "trace violated"), (np.full((4, 4), math.nan), "entries must be finite")],
+    ids=["twice-identity", "nan"],
+)
+@pytest.mark.parametrize(
+    "search",
+    [
+        minimize_relative_entropy_basis,
+        lambda rho, grid: maximize_laqc(rho, (QubitBasis.standard(),) * 2, grid),
+        brute_force_discord,
+    ],
+    ids=["classical", "laqc", "discord"],
+)
+def test_oracles_reject_a_matrix_that_is_not_a_density(search, rho, message):
+    with pytest.raises(ValueError, match=message):
+        search(rho, SMALL)

@@ -319,8 +319,8 @@ def _assert_finite(*arrays):
 @settings(max_examples=150, deadline=None)
 @given(EXTREME_FLOATS, EXTREME_FLOATS, EXTREME_FLOATS, st.booleans())
 def test_bell_params_validate_extremes(c1, c2, c3, as_arrays):
-    params = BellDiagonalParams(*(np.array([c]) if as_arrays else c for c in (c1, c2, c3)))
-    out = _built_or_value_error(params.validate)
+    fields = [np.array([c]) if as_arrays else c for c in (c1, c2, c3)]
+    out = _built_or_value_error(lambda: BellDiagonalParams(*fields).validate())
     if out is not None:
         _assert_finite(*out.as_tuple())
         assert out.is_physical()

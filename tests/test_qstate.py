@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qcorr.qstate import (
     BellDiagonalParams,
+    BlochParams,
     InvalidStateError,
     bell_diagonal_state,
     bloch_compose,
@@ -56,6 +58,46 @@ class TestBellDiagonalState:
     def test_eigenvalues_fixed_order(self):
         lam = BellDiagonalParams(1, -1, 1).bell_eigenvalues()
         assert np.allclose(lam, [1.0, 0.0, 0.0, 0.0])
+
+
+class TestTripleCheckedWhenBuilt:
+    """Building a triple runs validate(), so a bad one raises with its message."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((math.nan, 0.0, 0.0), r"^correlation triple \(nan, 0\.0, 0\.0\) must be finite$"),
+            (
+                (0.9, 0.9, 0.9),
+                r"^non-physical correlation triple \(0\.9, 0\.9, 0\.9\): "
+                r"Bell eigenvalue psi_minus = -0\.425000 < 0$",
+            ),
+            ((np.zeros(3), np.zeros(2), np.zeros(3)), "inhomogeneous shape"),
+            (
+                (np.array([1e308]), np.array([-1e308]), np.array([1e308])),
+                r"^non-physical correlation triple \(1e\+308, -1e\+308, 1e\+308\): "
+                r"Bell eigenvalue phi_minus = -inf < 0$",
+            ),
+        ],
+        ids=["nan", "outside", "ragged", "overflow"],
+    )
+    def test_bad_triple_is_not_built(self, fields, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                BellDiagonalParams(*fields)
+        assert caught == []
+
+    def test_boundary_rounding_is_built_but_fails_a_tighter_recheck(self):
+        p = BellDiagonalParams(1.0, -1.0, 1 - 4e-10)  # phi_minus = -1e-10
+        assert p.is_physical() and not p.is_physical(tol=1e-12)
+        with pytest.raises(ValueError, match="phi_minus"):
+            p.validate(tol=1e-12)
+
+    def test_diagonal_correlations_rejects_nonphysical_diagonal(self):
+        bloch = BlochParams(np.zeros(3), np.zeros(3), np.diag([2.0, 2.0, 2.0]))
+        with pytest.raises(ValueError, match=r"non-physical correlation triple \(2\.0, 2\.0, 2\.0\)"):
+            bloch.diagonal_correlations()
 
 
 class TestWernerState:

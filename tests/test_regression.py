@@ -3,8 +3,12 @@
 The CSV files under tests/data/ were written by the default `sweep` and
 `channel` commands before the oracle and Bloch code were consolidated;
 any change to the numeric path that moves a printed digit shows here.
+cli_text.json holds the stdout, stderr and exit code of `report` and
+`verify` runs, the exit-2 messages among them, captured before
+BellDiagonalParams checked itself when built.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -116,3 +120,13 @@ def test_full_precision_json_is_byte_identical(argv, pinned, tmp_path):
     out = tmp_path / "out.json"
     assert main([*argv, "--format", "json", "--output", str(out)]) == 0
     assert out.read_bytes() == (DATA / pinned).read_bytes()
+
+
+CLI_TEXT = json.loads((DATA / "cli_text.json").read_text())
+
+
+@pytest.mark.parametrize("pinned", CLI_TEXT, ids=[" ".join(c["argv"]) for c in CLI_TEXT])
+def test_cli_text_is_byte_identical(pinned, capsys):
+    code = main(pinned["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (pinned["exit"], pinned["stdout"], pinned["stderr"])
