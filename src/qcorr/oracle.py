@@ -1,7 +1,7 @@
 """Brute-force measurement-basis optimizers.
 
 These re-derive the closed-form quantifiers by exhaustive grid search,
-with no symmetry assumptions:
+with no assumption about the state:
 
 * classical correlations: minimize the relative entropy between the state
   and its dephasing over all four local basis angles, then report the
@@ -23,6 +23,18 @@ search minimizes: the LAQC evaluator tabulates minus the mutual
 information. The product grid is streamed in row chunks in a single pass
 that keeps each row's minimum, and only the chunk holding the first tied
 row is evaluated again to locate the first tied column.
+
+The relative-entropy and discord searches scan only the first half of the
+theta grid. Measuring along -a is the measurement along a with its
+outcomes relabelled, so for every state the relative-entropy objective
+has E(a, b) = E(-a, b) = E(a, -b), and the discord objective E(a) = E(-a).
+On the grid, theta[n-1-i] = pi - theta[i] to an ulp, and with an even
+steps_phi, phi[j + steps_phi/2] = phi[j] + pi to an ulp, so every grid
+point has an antipodal image. The image with the smaller theta index
+comes first lexicographically, so the first tie within TIE_TOL lies in
+theta rows 0..(n-1)//2 on each side. An odd phi grid has no phi + pi, and
+those searches then scan the whole theta grid (:func:`_search_thetas`).
+The LAQC search scans its whole grid.
 
 Every grid evaluator runs on the Bloch parametrization of projectors
 (p = (1/4)[1 + s a.x + t b.y + st a.T.b]), which is exact for any state;
@@ -145,6 +157,19 @@ def _phi_grid(steps: int) -> np.ndarray:
     return np.linspace(0.0, _TWO_PI, steps, endpoint=False)
 
 
+def _search_thetas(grid: GridSpec) -> np.ndarray:
+    """The theta rows a search scans: the first half of the theta grid, and
+    the whole grid when steps_phi is odd (see the module docstring).
+
+    At least two rows stay, because refinement takes its cell width from
+    the first two grid points.
+    """
+    thetas = _theta_grid(grid.steps_theta)
+    if grid.steps_phi % 2:
+        return thetas
+    return thetas[: max(2, (grid.steps_theta + 1) // 2)]
+
+
 def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Bloch axes of all (theta, phi) pairs in lexicographic order."""
     tt = np.repeat(thetas, phis.size)
@@ -207,22 +232,28 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
 def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     """Outcome tables of local projective measurements along unit axes.
 
-    Returns ``tables(lo, hi)``, which yields the clipped probabilities
-    p(s, t) for rows axes_a[lo:hi] and every axis in axes_b, one table at
-    a time in the outcome order (+,+), (+,-), (-,+), (-,-).
+    Returns ``tables(lo, hi, out)``, which writes the clipped probabilities
+    p(s, t) for rows axes_a[lo:hi] and every axis in axes_b into out[i]
+    and yields it, one table at a time in the outcome order (+,+), (+,-),
+    (-,+), (-,-). A caller that consumes each table before the next may
+    pass one buffer four times. Every table is bitwise equal to
+    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right.
     """
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
+    k_buf = np.empty((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]))
 
-    def tables(lo: int, hi: int):
-        k = axes_a[lo:hi] @ tb
+    def tables(lo: int, hi: int, out):
+        k = np.matmul(axes_a[lo:hi], tb, out=k_buf[: hi - lo])
         xa = xa_all[lo:hi, None]
-        for s in (1.0, -1.0):
-            for t in (1.0, -1.0):
-                p = 0.25 * (1.0 + s * xa + t * yb[None, :] + (s * t) * k)
-                np.clip(p, 0.0, 1.0, out=p)
-                yield p
+        for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
+            np.add(1.0 + s * xa, t * yb[None, :], out=p)
+            # (s t) k is exactly +-k, and adding -k is subtracting k.
+            (np.add if s == t else np.subtract)(p, k, out=p)
+            np.multiply(p, 0.25, out=p)
+            np.clip(p, 0.0, 1.0, out=p)
+            yield p
 
     return tables
 
@@ -233,15 +264,26 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     Rows are basis angles on A, columns on B. Minimizing
     S(rho || dephase(rho, basis)) is minimizing this entropy since the
     dephasing shares rho's diagonal, making the relative entropy
-    S(dephased) - S(rho) with S(rho) fixed.
+    S(dephased) - S(rho) with S(rho) fixed. Each chunk's table is bitwise
+    equal to minus the sum of xlog2 over the four outcome tables; the
+    per-chunk buffers are allocated once.
     """
+    axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
-    tables = _outcome_rows(bloch, _bloch_axes(theta_a, phi_a), axes_b)
+    tables = _outcome_rows(bloch, axes_a, axes_b)
+    shape = (min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0])
+    p_buf, plogp_buf, pos_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        h = np.zeros((hi - lo, axes_b.shape[0]))
-        for p in tables(lo, hi):
-            h -= xlog2(p)
+        n = hi - lo
+        h = np.zeros((n, axes_b.shape[0]))
+        plogp, pos = plogp_buf[:n], pos_buf[:n]
+        for p in tables(lo, hi, (p_buf[:n],) * 4):
+            # h -= xlog2(p), where xlog2 is 0 off the positive entries.
+            np.greater(p, 0.0, out=pos)
+            np.log2(p, out=plogp, where=pos)
+            np.multiply(p, plogp, out=plogp, where=pos)
+            np.subtract(h, plogp, out=h, where=pos)
         return h
 
     return rows
@@ -266,7 +308,7 @@ def minimize_relative_entropy_basis(
     the closed form f(c_min) is checked against.
     """
     rho = validate_density(rho)
-    thetas = _theta_grid(grid.steps_theta)
+    thetas = _search_thetas(grid)
     phis = _phi_grid(grid.steps_phi)
     best = _grid_search(
         (thetas, phis, thetas, phis),
@@ -300,7 +342,7 @@ def _laqc_rows(bloch: BlochParams, comp_a, comp_b, phi_a, phi_b):
     tables = _outcome_rows(bloch, axes(phi_a, comp_a), axes(phi_b, comp_b))
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        pp, pm, mp, mm = tables(lo, hi)
+        pp, pm, mp, mm = tables(lo, hi, np.empty((4, hi - lo, phi_b.size)))
         marginals = xlog2(pp + pm) + xlog2(mp + mm) + xlog2(pp + mp) + xlog2(pm + mm)
         return marginals - (xlog2(pp) + xlog2(pm) + xlog2(mp) + xlog2(mm))
 
@@ -382,7 +424,7 @@ def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleR
     measurements on A parametrized by (theta_a, phi_a)."""
     rho = validate_density(rho)
     best = _grid_search(
-        (_theta_grid(grid.steps_theta), _phi_grid(grid.steps_phi)),
+        (_search_thetas(grid), _phi_grid(grid.steps_phi)),
         (_THETA_BOUNDS, _PHI_BOUNDS),
         1,
         functools.partial(_conditional_entropy_rows, bloch_decompose(rho)),

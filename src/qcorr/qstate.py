@@ -160,7 +160,14 @@ class BellDiagonalParams:
     def validate(self, tol: float = PSD_TOL) -> "BellDiagonalParams":
         """Return self if every triple is finite and physical, else name the first bad one;
         construction runs this at the default tol, so call it to re-check at a tighter one."""
-        triples = np.array(self.as_tuple()).reshape(3, -1)  # rejects unequal shapes
+        try:
+            triples = np.array(self.as_tuple()).reshape(3, -1)
+        except ValueError:  # numpy's message names neither the type nor the shapes
+            shapes = ", ".join(str(np.shape(c)) for c in self.as_tuple())
+            raise ValueError(
+                "BellDiagonalParams fields must share one shape, "
+                f"got the inhomogeneous shapes {shapes}"
+            ) from None
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums fail below
             lam = self.bell_eigenvalues().reshape(4, -1)
         finite = np.isfinite(triples).all(axis=0)

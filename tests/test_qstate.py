@@ -294,6 +294,18 @@ class TestNonFiniteAndStacks:
         with pytest.raises(ValueError):
             BellDiagonalParams(np.zeros(3), np.zeros(2), np.zeros(3)).validate()
 
+    @pytest.mark.parametrize(
+        "fields, shapes",
+        [
+            ((np.zeros(3), np.zeros(2), np.zeros(3)), r"\(3,\), \(2,\), \(3,\)"),
+            ((0.1, np.zeros(2), 0.1), r"\(\), \(2,\), \(\)"),
+        ],
+    )
+    def test_unequal_shapes_named(self, fields, shapes):
+        message = f"^BellDiagonalParams fields must share one shape, got the inhomogeneous shapes {shapes}$"
+        with pytest.raises(ValueError, match=message):
+            BellDiagonalParams(*fields)
+
     def test_xlog2_scalar_gives_float(self):
         assert isinstance(xlog2(0.5), float)
         assert xlog2(0.5) == -0.5
