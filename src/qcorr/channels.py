@@ -149,22 +149,24 @@ WERNER_MAPS = {
 }
 
 
-def _werner_grid(kind: str, z, gammas: Iterable[float]) -> BellDiagonalParams:
-    """Werner z's triples per gamma, fields of shape np.shape(z) + (len(gammas),)."""
+def _werner_grid(kind: str, z, gammas: Iterable[float]) -> tuple[BellDiagonalParams, list]:
+    """Werner z's triples as one grid, fields of shape np.shape(z) + (len(gammas),),
+    and the list of the map's triples, one per gamma."""
     if kind not in WERNER_MAPS:
         raise ValueError(f"channel kind must be one of {tuple(WERNER_MAPS)}, got {kind!r}")
     z = _check_unit("werner parameter z", z)  # an empty gammas makes no map call
-    by_gamma = [WERNER_MAPS[kind](z, gamma).as_tuple() for gamma in gammas]
-    c = np.array(by_gamma, dtype=float).reshape(len(by_gamma), 3, *np.shape(z))
-    return BellDiagonalParams(*np.moveaxis(c, 0, -1))
+    by_gamma = [WERNER_MAPS[kind](z, gamma) for gamma in gammas]
+    c = np.reshape([p.as_tuple() for p in by_gamma], (len(by_gamma), 3, *np.shape(z)))
+    return BellDiagonalParams(*np.moveaxis(c, 0, -1)), by_gamma
 
 
 def correlation_trajectory(
     z: float, gammas: Iterable[float] | Sequence[float], kind: str
 ) -> list[TrajectoryPoint]:
-    """Quantifier trajectory of a Werner state along a channel-strength grid."""
+    """Quantifier trajectory of one Werner state z along a channel-strength grid."""
+    if np.ndim(z) != 0:
+        raise ValueError(f"trajectory takes one werner parameter z, got shape {np.shape(z)}")
     gammas = [float(gamma) for gamma in gammas]
-    params = _werner_grid(kind, z, gammas)
-    triples = (BellDiagonalParams(*c) for c in zip(*params.as_tuple()))
+    params, triples = _werner_grid(kind, z, gammas)
     rows = zip(*vars(full_report(params)).values())
     return [TrajectoryPoint(g, p, CorrelationReport(*r)) for g, p, r in zip(gammas, triples, rows)]

@@ -155,7 +155,7 @@ def cmd_channel(args) -> int:
         raise CliError(f"--z-steps x --gamma-steps must be at most {_MAX_ROWS} rows")
     z = np.linspace(0.0, 1.0, args.z_steps)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
-    params = _werner_grid(args.channel.replace("-", "_"), z, gammas)
+    params, _ = _werner_grid(args.channel.replace("-", "_"), z, gammas)
     leading = (*np.meshgrid(z, gammas, indexing="ij"), *params.as_tuple())
     return _write_table(args, CHANNEL_COLUMNS, leading, params)
 

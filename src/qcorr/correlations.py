@@ -24,11 +24,12 @@ import numpy as np
 
 from .bases import JointDistribution
 from .qstate import (
+    _CORRELATION_SLACK,
     SIGMA_Y,
     BellDiagonalParams,
+    _bell_diagonal_matrix,
     _check_unit,
     as_bell_params,
-    bell_diagonal_state,
     xlog2,
 )
 
@@ -47,8 +48,8 @@ __all__ = [
 
 # Quantifiers this close to zero are reported as exact zeros.
 _ZERO_SNAP = 1e-14
-# full_report builds and checks the 4x4 matrices for the concurrence this
-# many triples at a time, so memory stays bounded on large grids.
+# full_report builds the 4x4 matrices for the concurrence from the checked
+# triple this many triples at a time, so memory stays bounded on large grids.
 _BLOCK_TRIPLES = 256
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -80,7 +81,7 @@ def mutual_information(d: JointDistribution) -> float:
 def correlation_entropy_function(c: float) -> float:
     """f(c) = (1+c)/2 log2(1+c) + (1-c)/2 log2(1-c); even, f(0)=0, f(+-1)=1."""
     c = np.asarray(c, dtype=float)
-    bad = ~(np.abs(c) <= 1.0 + 1e-12)  # also rejects NaN
+    bad = ~(np.abs(c) <= 1.0 + _CORRELATION_SLACK)  # also rejects NaN
     if bad.any():
         raise ValueError(f"correlation coefficient must lie in [-1, 1], got {c[bad][0]}")
     c = np.clip(c, -1.0, 1.0)
@@ -162,8 +163,8 @@ def _concurrence_bd(p: BellDiagonalParams) -> float:
     fields = [np.ravel(c) for c in p.as_tuple()]
     out = np.empty(fields[0].size)
     for lo in range(0, out.size, _BLOCK_TRIPLES):
-        block = BellDiagonalParams(*(c[lo : lo + _BLOCK_TRIPLES] for c in fields))
-        out[lo : lo + _BLOCK_TRIPLES] = concurrence(bell_diagonal_state(block))
+        block = (c[lo : lo + _BLOCK_TRIPLES] for c in fields)
+        out[lo : lo + _BLOCK_TRIPLES] = concurrence(_bell_diagonal_matrix(*block))
     return out.reshape(np.shape(p.c1))[()]
 
 
@@ -172,8 +173,8 @@ def full_report(params) -> CorrelationReport:
     p = as_bell_params(params)
     c_min, c_max = _selected(p)
     return CorrelationReport(
-        classical=_snap(classical_correlations_bd(p)),
-        laqc=_snap(laqc_bd(p)),
+        classical=_snap(correlation_entropy_function(c_min)),
+        laqc=_snap(correlation_entropy_function(c_max)),
         discord=_snap(discord_bd(p)),
         concurrence=_snap(_concurrence_bd(p)),
         c_min=c_min,

@@ -6,15 +6,18 @@ so any state in circulation is Hermitian, unit-trace, and positive
 semidefinite, and is returned as a read-only array.
 
 Bell-diagonal states are handled through their correlation triple
-(c1, c2, c3), checked when it is built: finite, and physical within
-PSD_TOL, so no closed form sees a bad one; validate(tol) and
-is_physical(tol) re-check it at a tighter tol. Its spectrum is always the
-four closed-form Bell-basis eigenvalues, spelled only in
-:class:`BellDiagonalParams`, never a numerical eigensolver. The triple's
-fields may be float arrays of one shape, a grid of triples; equality and
-hashing of :class:`BellDiagonalParams` are for scalar triples only. The general
-Hermitian eigenproblems (entropy of arbitrary states, spin-flip spectra)
-go through LAPACK's Hermitian solver.
+(c1, c2, c3), checked once, when it is built. That check is the contract
+every consumer relies on: each triple is finite, physical within PSD_TOL
+(every Bell eigenvalue >= -PSD_TOL) and has every |c_i| <= 1 + 1e-12. So
+no closed form re-checks a built triple; full_report builds its
+concurrence matrices from the checked triple with no further check or
+eigensolve. validate(tol) and is_physical(tol) re-check at a tighter tol.
+Its spectrum is always the four closed-form Bell-basis eigenvalues,
+spelled only in :class:`BellDiagonalParams`, never a numerical
+eigensolver. The triple's fields may be float arrays of one shape, a grid
+of triples; equality and hashing of :class:`BellDiagonalParams` are for
+scalar triples only. The general Hermitian eigenproblems (entropy of
+arbitrary states, spin-flip spectra) go through LAPACK's Hermitian solver.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # Channel application compounds rounding, so positivity gets a looser bar.
 PSD_TOL = 1e-9
+# How far past 1 a correlation coefficient |c_i| may round.
+_CORRELATION_SLACK = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -171,17 +176,24 @@ class BellDiagonalParams:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums fail below
             lam = self.bell_eigenvalues().reshape(4, -1)
         finite = np.isfinite(triples).all(axis=0)
-        bad = ~finite | (lam.min(axis=0) < -tol)
+        negative = lam.min(axis=0) < -tol
+        outside = np.abs(triples) > 1.0 + _CORRELATION_SLACK
+        bad = ~finite | negative | outside.any(axis=0)
         if not bad.any():
             return self
         i = int(np.argmax(bad))
         c = tuple(triples[:, i].tolist())
         if not finite[i]:
             raise ValueError(f"correlation triple {c} must be finite")
-        k = int(np.argmin(lam[:, i]))
+        if negative[i]:
+            k = int(np.argmin(lam[:, i]))
+            raise ValueError(
+                f"non-physical correlation triple {c}: "
+                f"Bell eigenvalue {BELL_LABELS[k]} = {lam[k, i]:.6f} < 0"
+            )
+        j = int(np.argmax(outside[:, i]))
         raise ValueError(
-            f"non-physical correlation triple {c}: "
-            f"Bell eigenvalue {BELL_LABELS[k]} = {lam[k, i]:.6f} < 0"
+            f"non-physical correlation triple {c}: c{j + 1} = {c[j]!r} lies outside [-1, 1]"
         )
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -280,13 +292,19 @@ def validate_density(
     return _readonly(m)
 
 
-def bell_diagonal_state(params) -> np.ndarray:
-    """(1/4)(I + sum_i c_i sigma_i (x) sigma_i) for a physical triple; array
-    fields of shape S give a validated stack of shape S + (4, 4)."""
+def _bell_diagonal_matrix(c1, c2, c3) -> np.ndarray:
+    """(1/4)(I + sum_i c_i sigma_i (x) sigma_i), unchecked: fields of shape S
+    give a stack of shape S + (4, 4). Pass only the fields of a built triple."""
     m = _I4
-    for n, c in enumerate(as_bell_params(params).as_tuple(), start=1):
+    for n, c in enumerate((c1, c2, c3), start=1):
         m = m + np.asarray(c, dtype=float)[..., None, None] * _PAULI_PAIRS[n, n]
-    return validate_density(0.25 * m)
+    return 0.25 * m
+
+
+def bell_diagonal_state(params) -> np.ndarray:
+    """The validated state of a physical triple; array fields of shape S give
+    a stack of shape S + (4, 4)."""
+    return validate_density(_bell_diagonal_matrix(*as_bell_params(params).as_tuple()))
 
 
 def werner_state(z: float) -> np.ndarray:

@@ -225,3 +225,9 @@ class TestWernerMapInputs:
     @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
     def test_empty_gamma_grid_gives_empty_trajectory(self, kind):
         assert correlation_trajectory(0.5, [], kind) == []
+
+    @pytest.mark.parametrize("z", [np.array([0.2, 0.5]), [0.5], np.zeros((2, 2))])
+    def test_trajectory_rejects_non_scalar_z(self, z):
+        shape = str(np.shape(z)).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=f"one werner parameter z, got shape {shape}"):
+            correlation_trajectory(z, [0.0, 0.5, 1.0], DEPOLARIZING)

@@ -56,6 +56,23 @@ class TestReport:
         assert payload["discord"] == rep.discord
         assert payload["c1"] == 0.5
 
+    def test_coefficient_slack_prints_one(self, capsys):
+        code, out, err = run(capsys, "report", "--bd=1.0000000000005,-1.0000000000005,1")
+        assert code == 0 and err == ""
+        fields = dict(line.split() for line in out.strip().splitlines())
+        assert fields["c_max"] == "1.000000"
+
+    # Three Bell eigenvalues are -5e-10, within PSD_TOL, but every |c_i| > 1.
+    @pytest.mark.parametrize("command", [["report"], ["sweep"], ["verify", "--steps=4"]])
+    def test_coefficient_past_one_exits_2(self, capsys, command):
+        sliver = "--bd=1.000000002,-1.000000002,1.000000002"
+        code, out, err = run(capsys, command[0], sliver, *command[1:])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: non-physical correlation triple (1.000000002, -1.000000002, 1.000000002): "
+            "c1 = 1.000000002 lies outside [-1, 1]\n"
+        )
+
     def test_requires_a_state(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report"])
@@ -376,6 +393,15 @@ FLOAT_TEXT = st.one_of(
 TRIPLE_TEXT = st.lists(FLOAT_TEXT, min_size=3, max_size=3).map(",".join)
 
 
+# A vertex of the physical tetrahedron scaled by 1 + delta: within about
+# 4e-9 past it, every Bell eigenvalue is still within PSD_TOL.
+BOUNDARY_TEXT = st.builds(
+    lambda vertex, delta: ",".join(repr(c * (1.0 + delta)) for c in vertex),
+    st.sampled_from([(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]),
+    st.floats(-1e-8, 1e-8) | st.sampled_from([0.0, 5e-13, 2e-9, 4e-9]),
+)
+
+
 def wide_ints(cheap_max, cap):
     # Below the minimum, a few cheap admissible sizes, and far above the cap.
     return st.one_of(
@@ -434,3 +460,14 @@ class TestCliRobustness:
     def test_verify(self, flag, text, triple, steps):
         value = text if flag == "--werner" else triple
         call(["verify", f"{flag}={value}", f"--steps={steps}"], codes=(0, 2, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(triple=BOUNDARY_TEXT, fmt=st.sampled_from(["text", "json"]))
+    def test_report_and_sweep_at_the_boundary(self, triple, fmt):
+        call(["report", f"--bd={triple}", "--format", fmt])
+        call(["sweep", f"--bd={triple}", "--z-steps=3"])
+
+    @settings(max_examples=20, deadline=None)
+    @given(triple=BOUNDARY_TEXT, steps=st.integers(2, 4))
+    def test_verify_at_the_boundary(self, triple, steps):
+        call(["verify", f"--bd={triple}", f"--steps={steps}"], codes=(0, 2, 3))

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qcorr import qstate
+from qcorr.channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory
+from qcorr.correlations import full_report
 from qcorr.qstate import (
     BellDiagonalParams,
     BlochParams,
@@ -78,8 +81,13 @@ class TestTripleCheckedWhenBuilt:
                 r"^non-physical correlation triple \(1e\+308, -1e\+308, 1e\+308\): "
                 r"Bell eigenvalue phi_minus = -inf < 0$",
             ),
+            (
+                (0.0, 0.0, 1.000000002),  # psi_plus = -5e-10 is within PSD_TOL
+                r"^non-physical correlation triple \(0\.0, 0\.0, 1\.000000002\): "
+                r"c3 = 1\.000000002 lies outside \[-1, 1\]$",
+            ),
         ],
-        ids=["nan", "outside", "ragged", "overflow"],
+        ids=["nan", "outside", "ragged", "overflow", "sliver"],
     )
     def test_bad_triple_is_not_built(self, fields, message):
         with warnings.catch_warnings(record=True) as caught:
@@ -94,10 +102,64 @@ class TestTripleCheckedWhenBuilt:
         with pytest.raises(ValueError, match="phi_minus"):
             p.validate(tol=1e-12)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coefficient_slack_is_built(self, sign):
+        c = 1.0 + 5e-13
+        p = BellDiagonalParams(sign * c, -c, sign * c)
+        assert p.as_tuple() == (sign * c, -c, sign * c)
+
+    def test_eigenvalue_message_wins_over_the_coefficient_one(self):
+        with pytest.raises(ValueError, match="Bell eigenvalue psi_minus"):
+            BellDiagonalParams(1.1, 1.1, 1.1)
+
+    def test_array_names_the_first_coefficient_outside(self):
+        c1 = np.array([0.5, 1.0, 1.000000002])
+        c2 = np.array([0.0, -1.0, -1.000000002])
+        with pytest.raises(ValueError, match=r"c1 = 1\.000000002 lies outside"):
+            BellDiagonalParams(c1, c2, c1)
+
     def test_diagonal_correlations_rejects_nonphysical_diagonal(self):
         bloch = BlochParams(np.zeros(3), np.zeros(3), np.diag([2.0, 2.0, 2.0]))
         with pytest.raises(ValueError, match=r"non-physical correlation triple \(2\.0, 2\.0, 2\.0\)"):
             bloch.diagonal_correlations()
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Count BellDiagonalParams.validate and validate_density calls."""
+    calls = {"validate": 0, "validate_density": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    validate = counted("validate", BellDiagonalParams.validate)
+    monkeypatch.setattr(BellDiagonalParams, "validate", validate)
+    monkeypatch.setattr(qstate, "validate_density", counted("validate_density", validate_density))
+    return calls
+
+
+class TestOneCheckPerTriple:
+    """A built triple is trusted: its consumers do not check it again."""
+
+    def test_full_report_on_a_built_grid_checks_nothing(self, checks):
+        c = np.random.default_rng(9).uniform(-1 / 3, 1 / 3, (3, 600))  # sum |c_i| <= 1
+        params = BellDiagonalParams(*c)
+        checks.update(validate=0, validate_density=0)
+        full_report(params)
+        assert checks == {"validate": 0, "validate_density": 0}
+
+    @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
+    def test_trajectory_checks_one_triple_per_gamma_and_the_grid(self, checks, kind):
+        correlation_trajectory(0.7, np.linspace(0.0, 1.0, 37), kind)
+        assert checks == {"validate": 38, "validate_density": 0}
+
+    def test_bell_diagonal_state_validates_once(self, checks):
+        bell_diagonal_state(BellDiagonalParams(0.3, -0.2, 0.1))
+        assert checks["validate_density"] == 1
 
 
 class TestWernerState:
