@@ -20,9 +20,19 @@ computational basis whenever it is optimal.
 
 All three oracles share one search (:func:`_grid_search`), and every
 search minimizes: the LAQC evaluator tabulates minus the mutual
-information. The product grid is streamed in row chunks in a single pass
-that keeps each row's minimum, and only the chunk holding the first tied
-row is evaluated again to locate the first tied column.
+information. The product grid is streamed in row chunks that keep each
+row's minimum, and only the chunk holding the first tied row is evaluated
+again to locate the first tied column. The chunks go to two interleaved
+stripes: the calling thread evaluates chunks 0, 2, 4, ... and one helper
+thread chunks 1, 3, 5, ..., since numpy releases the interpreter lock
+inside the array operations that fill a chunk. A chunk holds 128 rows,
+so the two chunks in flight take the memory one 256-row chunk took on a
+single thread. A table of one chunk has nothing to share and starts no
+thread. The LAQC and discord grids and every refinement window of those
+two searches fit in one chunk, so only the relative-entropy evaluator,
+which calls no public qcorr function, ever runs off the calling thread:
+code that wraps the public functions sees every call on the thread that
+made it.
 
 The relative-entropy and discord searches scan only the first half of the
 theta grid. Measuring along -a is the measurement along a with its
@@ -50,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +101,9 @@ TIE_TOL = 1e-10
 _TWO_PI = 2.0 * math.pi
 # Refinement window: +-1 coarse cell sampled at 10x resolution.
 _REFINE_POINTS = 21
-_CHUNK_ROWS = 256
+_CHUNK_ROWS = 128
+# Row stripes a scan runs in parallel; in-flight memory grows with each.
+_STRIPES = 2
 # The relative-entropy search evaluates about steps**4 grid points.
 _MAX_STEPS = 128
 _THETA_BOUNDS = (0.0, math.pi)
@@ -184,22 +197,55 @@ def _scan(grids, n_row_angles, table):
     The table has a row per point of the product of grids[:n_row_angles]
     and a column per point of the product of the rest; ``table(*grids)``
     returns ``rows(lo, hi)``, the block of rows lo..hi. One pass over
-    _CHUNK_ROWS-row chunks keeps each row's minimum. The first row within
-    TIE_TOL of the global minimum holds the first tied entry, so only its
-    chunk is evaluated again, with the same bounds, to find the column.
+    _CHUNK_ROWS-row chunks keeps each row's minimum; chunk i is evaluated
+    by stripe i % _STRIPES, stripe 0 on the calling thread and each other
+    stripe on a helper thread, so ``rows`` must be safe to call from
+    several threads at once. An exception raised in a helper is raised
+    here once every helper has finished. The first row within TIE_TOL of
+    the global minimum holds the first tied entry, so only its chunk is
+    evaluated again, with the same bounds, to find the column.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
     rows = table(*grids)
     row_best = np.empty(n_rows)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        last = rows(lo, min(lo + _CHUNK_ROWS, n_rows))
-        row_best[lo : lo + last.shape[0]] = last.min(axis=1)
+    starts = range(0, n_rows, _CHUNK_ROWS)
+    final = []  # the table of the last chunk, reused by the tie pass
+    errors = []
+
+    def stripe(first):
+        for lo in starts[first::_STRIPES]:
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            block = rows(lo, hi)
+            row_best[lo:hi] = block.min(axis=1)
+            if hi == n_rows:
+                final.append(block)
+            del block  # freed before the stripe's next chunk is evaluated
+
+    def helper(first):
+        try:
+            stripe(first)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=helper, args=(first,), name=f"qcorr-scan-{first}")
+        for first in range(1, min(_STRIPES, len(starts)))
+    ]
+    try:
+        for thread in helpers:
+            thread.start()
+        stripe(0)
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
     value = row_best.min()
     row = int(np.argmax(row_best <= value + TIE_TOL))
     lo = row - row % _CHUNK_ROWS
-    if lo + _CHUNK_ROWS < n_rows:
-        last = rows(lo, lo + _CHUNK_ROWS)
+    last = final[0] if lo == starts[-1] else rows(lo, lo + _CHUNK_ROWS)
     col = int(np.argmax(last[row - lo] <= value + TIE_TOL))
     idx = np.unravel_index(row * last.shape[1] + col, shape)
     return tuple(g[i] for g, i in zip(grids, idx)), value
@@ -229,6 +275,13 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     return best
 
 
+class _Scratch(threading.local):
+    """Scratch arrays of one shape, one set per thread, made on its first use."""
+
+    def __init__(self, shape, *dtypes):
+        self.arrays = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+
+
 def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     """Outcome tables of local projective measurements along unit axes.
 
@@ -237,14 +290,16 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     and yields it, one table at a time in the outcome order (+,+), (+,-),
     (-,+), (-,-). A caller that consumes each table before the next may
     pass one buffer four times. Every table is bitwise equal to
-    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right.
+    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right. Threads
+    may call ``tables`` at once: each has its own buffer for k.
     """
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
-    k_buf = np.empty((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]))
+    scratch = _Scratch((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]), float)
 
     def tables(lo: int, hi: int, out):
+        (k_buf,) = scratch.arrays
         k = np.matmul(axes_a[lo:hi], tb, out=k_buf[: hi - lo])
         xa = xa_all[lo:hi, None]
         for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
@@ -266,15 +321,16 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     dephasing shares rho's diagonal, making the relative entropy
     S(dephased) - S(rho) with S(rho) fixed. Each chunk's table is bitwise
     equal to minus the sum of xlog2 over the four outcome tables; the
-    per-chunk buffers are allocated once.
+    per-chunk buffers are allocated once per thread.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
     tables = _outcome_rows(bloch, axes_a, axes_b)
     shape = (min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0])
-    p_buf, plogp_buf, pos_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    scratch = _Scratch(shape, float, float, bool)
 
     def rows(lo: int, hi: int) -> np.ndarray:
+        p_buf, plogp_buf, pos_buf = scratch.arrays
         n = hi - lo
         h = np.zeros((n, axes_b.shape[0]))
         plogp, pos = plogp_buf[:n], pos_buf[:n]

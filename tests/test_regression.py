@@ -85,12 +85,21 @@ class TestAsymmetricTripleAngles:
 
 
 @pytest.mark.parametrize(
-    "cells", [[(699, 3, 0.0)], [(300, 1, 1e-11), (650, 2, 0.0)], [(10, 0, 0.0)]]
+    "cells",
+    [
+        [(699, 3, 0.0)],
+        [(300, 1, 1e-11), (650, 2, 0.0)],
+        [(10, 0, 0.0)],
+        [(150, 2, 1e-11), (520, 1, 0.0)],  # tie in stripe 1, minimum in stripe 0
+        [(100, 4, 5e-11), (400, 0, 0.0)],  # tie in stripe 0, minimum in stripe 1
+        [(660, 3, 5e-11), (690, 0, 0.0), (690, 2, 0.0)],  # both in the partial last chunk
+    ],
 )
 def test_scan_matches_two_pass_reference(cells):
-    # 700 rows span three chunks; a near tie in an earlier chunk than the
-    # minimum must win, as in a full scan for the minimum followed by a
-    # row-major scan for the first entry within TIE_TOL.
+    # 700 rows span six chunks, the even ones on stripe 0 and the odd ones
+    # on stripe 1; a near tie in an earlier chunk than the minimum must
+    # win, as in a full scan for the minimum followed by a row-major scan
+    # for the first entry within TIE_TOL.
     rng = np.random.default_rng(0)
     table = rng.uniform(1.0, 2.0, size=(700, 5))
     for row, col, value in cells:

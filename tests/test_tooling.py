@@ -1,18 +1,30 @@
-"""Guards for the benchmark: its tracer patches qcorr functions by name, and
-its audit checks hold the oracles to independent closed forms."""
+"""Guards for the benchmark: its tracer patches qcorr functions by name and
+keeps one span stack, so traced functions must run on one thread, and its
+audit checks hold the oracles to independent closed forms."""
 
 import importlib
 import importlib.util
 import itertools
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcorr.cli
+from qcorr.bases import QubitBasis
+from qcorr.oracle import (
+    GridSpec,
+    brute_force_discord,
+    maximize_laqc,
+    minimize_relative_entropy_basis,
+)
+from qcorr.qstate import bell_diagonal_state
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 
 
@@ -51,3 +63,41 @@ def test_one_audit_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert len(ops) == 6
     results = [(op.label, *audit.check(op, audit.run(op))) for op in ops]
     assert [r for r in results if r[1]] == []
+
+
+def test_import_starts_no_thread():
+    probe = (
+        "import sys, threading\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import qcorr, qcorr.cli\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["1", "False"]
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(64, 64, 64), GridSpec(128, 128, 128), GridSpec(128, 127, 127)],
+    ids=["64", "128", "128-odd-phi"],
+)
+def test_laqc_and_discord_searches_start_no_thread(grid, monkeypatch):
+    # Their evaluators call traced functions (xlog2), so their tables must
+    # fit one scan chunk, which the calling thread evaluates alone.
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    rho = bell_diagonal_state((0.7, -0.3, 0.5))
+    maximize_laqc(rho, (QubitBasis.standard(), QubitBasis.standard()), grid)
+    brute_force_discord(rho, grid)
+    assert started == []
+    # The relative-entropy refinement window, 441 rows, does start a helper.
+    minimize_relative_entropy_basis(rho, GridSpec(4, 4, 2))
+    assert len(started) == 1
