@@ -20,19 +20,38 @@ computational basis whenever it is optimal.
 
 All three oracles share one search (:func:`_grid_search`), and every
 search minimizes: the LAQC evaluator tabulates minus the mutual
-information. The product grid is streamed in row chunks that keep each
-row's minimum, and only the chunk holding the first tied row is evaluated
-again to locate the first tied column. The chunks go to two interleaved
-stripes: the calling thread evaluates chunks 0, 2, 4, ... and one helper
-thread chunks 1, 3, 5, ..., since numpy releases the interpreter lock
-inside the array operations that fill a chunk. A chunk holds 128 rows,
-so the two chunks in flight take the memory one 256-row chunk took on a
-single thread. A table of one chunk has nothing to share and starts no
-thread. The LAQC and discord grids and every refinement window of those
-two searches fit in one chunk, so only the relative-entropy evaluator,
-which calls no public qcorr function, ever runs off the calling thread:
-code that wraps the public functions sees every call on the thread that
-made it.
+information. The product grid is streamed in 128-row chunks that keep
+each row's minimum. The relative-entropy table bounds its rows from below
+(the LAQC and discord tables carry no bound and are scanned in full): the
+entropy of measuring along a on A and any b on B is at least
+LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and r_s the
+probability and B's Bloch vector after outcome s, since a measured
+entropy is never below the von Neumann entropy (Nielsen & Chuang,
+Thm 11.9). Chunks whose smallest LB lies within TIE_TOL of the smallest
+of all go first, in index order, and the rest in ascending smallest LB.
+With eps = 1e-12 of slack under LB, U the smallest row minimum found so
+far and L the smallest LB - eps (an evaluated row counting its minimum),
+the minimum lies in [L, U], and:
+
+* skip: a chunk with LB - eps above U + TIE_TOL on every row holds
+  neither the minimum nor a tie;
+* early stop: take the first row not shown above U + TIE_TOL by its
+  minimum or its LB - eps. Once it is evaluated with a minimum at most
+  L + TIE_TOL, its first entry at most U + TIE_TOL is the answer if that
+  entry is at most L + TIE_TOL too;
+* refinement is skipped when the window's smallest LB - eps is at least
+  U - TIE_TOL, as it adopts a point only below the minimum - TIE_TOL.
+  When a refined value lies too close to an early-stopped U to decide,
+  the coarse grid is scanned again without the early stop.
+
+The calling thread evaluates the first chunk and tests the early stop;
+the chunks still alive go, in order, to two interleaved stripes, the
+calling thread and one helper thread (numpy releases the interpreter lock
+while it fills a chunk). Each stripe tests the skip against the shared U
+before every chunk; a stale U is only larger, so the answer never
+depends on timing. Only the relative-entropy evaluator, which calls no
+public qcorr function, runs off the calling thread: the LAQC and discord
+grids fit one chunk, and the bound is computed before any helper starts.
 
 The relative-entropy and discord searches scan only the first half of the
 theta grid. Measuring along -a is the measurement along a with its
@@ -102,6 +121,9 @@ _TWO_PI = 2.0 * math.pi
 # Refinement window: +-1 coarse cell sampled at 10x resolution.
 _REFINE_POINTS = 21
 _CHUNK_ROWS = 128
+# Slack under a row's entropy bound: rounding puts an entry at most a few
+# 1e-15 below it, pure states included, and TIE_TOL is 100 times larger.
+_BOUND_SLACK = 1e-12
 # Row stripes a scan runs in parallel; in-flight memory grows with each.
 _STRIPES = 2
 # The relative-entropy search evaluates about steps**4 grid points.
@@ -191,64 +213,99 @@ def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
 
 
-def _scan(grids, n_row_angles, table):
+def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     """(first lexicographic grid point within TIE_TOL of the minimum, minimum).
 
     The table has a row per point of the product of grids[:n_row_angles]
     and a column per point of the product of the rest; ``table(*grids)``
-    returns ``rows(lo, hi)``, the block of rows lo..hi. One pass over
-    _CHUNK_ROWS-row chunks keeps each row's minimum; chunk i is evaluated
-    by stripe i % _STRIPES, stripe 0 on the calling thread and each other
-    stripe on a helper thread, so ``rows`` must be safe to call from
-    several threads at once. An exception raised in a helper is raised
-    here once every helper has finished. The first row within TIE_TOL of
-    the global minimum holds the first tied entry, so only its chunk is
-    evaluated again, with the same bounds, to find the column.
+    returns ``rows(lo, hi)``, the block of rows lo..hi, which may carry
+    ``rows.bound``, a lower bound on each row's entries. Chunks are ordered,
+    skipped and stopped early as the module docstring sets out. Returns
+    None, evaluating nothing, when the bound puts every entry at or above
+    ``below``. Only with ``stop_early`` may the value returned, the smallest
+    entry evaluated, sit above the minimum (by up to TIE_TOL). ``rows`` must
+    be safe to call from several threads at once; an exception raised in a
+    helper is raised here once every helper has finished.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
     rows = table(*grids)
-    row_best = np.empty(n_rows)
-    starts = range(0, n_rows, _CHUNK_ROWS)
-    final = []  # the table of the last chunk, reused by the tie pass
+    # A lower bound on each row's minimum, replaced by the minimum once evaluated.
+    floor = np.full(n_rows, getattr(rows, "bound", -math.inf)) - _BOUND_SLACK
+    if floor.min() >= below:
+        return None
+    chunk_floor = np.minimum.reduceat(floor, np.arange(0, n_rows, _CHUNK_ROWS))
+    # Chunks within TIE_TOL of the smallest bound share one key and keep index order.
+    order = np.argsort(np.maximum(chunk_floor, chunk_floor.min() + TIE_TOL), kind="stable")
+    done = set()
+    kept = [math.inf, -1, None]  # the smallest row minimum, its chunk and the chunk's table
+    lock = threading.Lock()
     errors = []
 
-    def stripe(first):
-        for lo in starts[first::_STRIPES]:
-            hi = min(lo + _CHUNK_ROWS, n_rows)
-            block = rows(lo, hi)
-            row_best[lo:hi] = block.min(axis=1)
-            if hi == n_rows:
-                final.append(block)
-            del block  # freed before the stripe's next chunk is evaluated
+    def chunk_rows(chunk):
+        return rows(chunk * _CHUNK_ROWS, min((chunk + 1) * _CHUNK_ROWS, n_rows))
 
-    def helper(first):
+    def evaluate(chunk):
+        block, lo = chunk_rows(chunk), chunk * _CHUNK_ROWS
+        least = floor[lo : lo + len(block)] = block.min(axis=1)
+        done.add(chunk)
+        with lock:
+            if least.min() < kept[0]:
+                kept[:] = least.min(), chunk, block
+
+    def alive(chunk):
+        # A stale minimum is only larger, so the skip stays sound.
+        return chunk_floor[chunk] <= kept[0] + TIE_TOL
+
+    def stripe(chunks):
+        for chunk in chunks:
+            if alive(chunk):
+                evaluate(chunk)
+
+    def helper(chunks):
         try:
-            stripe(first)
+            stripe(chunks)
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
+    def first_tie(low, high):
+        """The first entry within TIE_TOL of every value in [low, high], where
+        the minimum lies, or None when the evaluated chunks cannot tell."""
+        row = int(np.argmax(floor <= high + TIE_TOL))
+        chunk, offset = divmod(row, _CHUNK_ROWS)
+        if chunk not in done or floor[row] > low + TIE_TOL:
+            return None
+        line = (kept[2] if kept[1] == chunk else chunk_rows(chunk))[offset]
+        col = int(np.argmax(line <= high + TIE_TOL))
+        if line[col] > low + TIE_TOL:
+            return None
+        idx = np.unravel_index(row * line.size + col, shape)
+        return tuple(g[i] for g, i in zip(grids, idx))
+
+    evaluate(order[0])
+    if stop_early:
+        best = first_tie(floor.min(), kept[0])
+        if best is not None:
+            return best, kept[0]
+    queue = [order[0], *filter(alive, order[1:])]
+    # Chunk k of the queue goes to stripe k % _STRIPES; the calling thread is
+    # stripe 0 and starts helpers only when it has a chunk of its own left.
+    lanes = [queue[s::_STRIPES] for s in range(_STRIPES)] if len(queue) > _STRIPES else [queue]
     helpers = [
-        threading.Thread(target=helper, args=(first,), name=f"qcorr-scan-{first}")
-        for first in range(1, min(_STRIPES, len(starts)))
+        threading.Thread(target=helper, args=(lane,), name=f"qcorr-scan-{s}")
+        for s, lane in enumerate(lanes[1:], 1)
     ]
     try:
         for thread in helpers:
             thread.start()
-        stripe(0)
+        stripe(lanes[0][1:])
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
     if errors:
         raise errors[0]
-    value = row_best.min()
-    row = int(np.argmax(row_best <= value + TIE_TOL))
-    lo = row - row % _CHUNK_ROWS
-    last = final[0] if lo == starts[-1] else rows(lo, lo + _CHUNK_ROWS)
-    col = int(np.argmax(last[row - lo] <= value + TIE_TOL))
-    idx = np.unravel_index(row * last.shape[1] + col, shape)
-    return tuple(g[i] for g, i in zip(grids, idx)), value
+    return first_tie(kept[0], kept[0]), kept[0]
 
 
 def _grid_search(grids, bounds, n_row_angles, table, refine):
@@ -257,9 +314,12 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     Refinement rescans a +-1 coarse cell window per angle, clipped to the
     angle's (lower, upper) bounds, and adopts the refined point only on a
     real improvement, so coarse lexicographic tie-breaking survives float
-    noise.
+    noise. The coarse scan may stop early, so its value may sit up to
+    TIE_TOL above the minimum: the window is skipped when its bound shows
+    that no point improves on that value by TIE_TOL, and the coarse grid is
+    scanned again in full when the value is too close to decide.
     """
-    best, value = _scan(grids, n_row_angles, table)
+    best, value = _scan(grids, n_row_angles, table, stop_early=True)
     if refine:
         windows = tuple(
             np.linspace(
@@ -269,9 +329,13 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
             )
             for g, center, (lower, upper) in zip(grids, best, bounds)
         )
-        refined, r_value = _scan(windows, n_row_angles, table)
-        if r_value < value - TIE_TOL:
-            best = refined
+        found = _scan(windows, n_row_angles, table, below=value - TIE_TOL)
+        if found is not None and found[1] < value - TIE_TOL:
+            if found[1] >= value - 2 * TIE_TOL:
+                # The early-stopped value may sit up to TIE_TOL above the minimum.
+                value = _scan(grids, n_row_angles, table)[1]
+            if found[1] < value - TIE_TOL:
+                best = found[0]
     return best
 
 
@@ -321,7 +385,8 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     dephasing shares rho's diagonal, making the relative entropy
     S(dephased) - S(rho) with S(rho) fixed. Each chunk's table is bitwise
     equal to minus the sum of xlog2 over the four outcome tables; the
-    per-chunk buffers are allocated once per thread.
+    per-chunk buffers are allocated once per thread. ``rows.bound`` holds
+    each row's entropy lower bound, computed on the calling thread.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
@@ -342,6 +407,10 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
             np.subtract(h, plogp, out=h, where=pos)
         return h
 
+    # H(A, B) = H(A) + sum_s p_s H(B | s), and no measurement on B has a
+    # smaller entropy than the conditional state's von Neumann entropy.
+    p_a = np.clip(0.5 * (1.0 + axes_a @ bloch.x), 0.0, 1.0)
+    rows.bound = _conditional_entropy(bloch, axes_a) - xlog2(p_a) - xlog2(1.0 - p_a)
     return rows
 
 
@@ -433,25 +502,29 @@ def maximize_laqc(
     return _result(rho, angles, objective, correlations.laqc_bd)
 
 
+def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
+    """sum_s p_s S(rho_B | s) for a measurement on A along each unit axis."""
+    xa = axes @ bloch.x
+    out = np.zeros(axes.shape[0])
+    for s in (1.0, -1.0):
+        p = 0.5 * (1.0 + s * xa)
+        w = bloch.y[None, :] + s * (axes @ bloch.T)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
+        # binary entropy of the conditional state's eigenvalues
+        lam = 0.5 * (1.0 + np.clip(np.where(p > 1e-14, r, 0.0), 0.0, 1.0))
+        ent = -xlog2(lam) - xlog2(1.0 - lam)
+        out += np.where(p > 1e-14, p * ent, 0.0)
+    return out
+
+
 def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
-    """Row evaluator of sum_s p_s S(rho_B | s) for measurement axes on A;
-    rows are theta, columns phi."""
+    """Row evaluator of :func:`_conditional_entropy`; rows are theta, columns phi."""
     axes = _bloch_axes(thetas, phis)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         ax = axes[lo * phis.size : hi * phis.size]
-        xa = ax @ bloch.x
-        out = np.zeros(ax.shape[0])
-        for s in (1.0, -1.0):
-            p = 0.5 * (1.0 + s * xa)
-            w = bloch.y[None, :] + s * (ax @ bloch.T)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
-            # binary entropy of the conditional state's eigenvalues
-            lam = 0.5 * (1.0 + np.clip(np.where(p > 1e-14, r, 0.0), 0.0, 1.0))
-            ent = -xlog2(lam) - xlog2(1.0 - lam)
-            out += np.where(p > 1e-14, p * ent, 0.0)
-        return out.reshape(hi - lo, phis.size)
+        return _conditional_entropy(bloch, ax).reshape(hi - lo, phis.size)
 
     return rows
 

@@ -93,22 +93,41 @@ class TestAsymmetricTripleAngles:
         [(150, 2, 1e-11), (520, 1, 0.0)],  # tie in stripe 1, minimum in stripe 0
         [(100, 4, 5e-11), (400, 0, 0.0)],  # tie in stripe 0, minimum in stripe 1
         [(660, 3, 5e-11), (690, 0, 0.0), (690, 2, 0.0)],  # both in the partial last chunk
+        # The loose bound of chunk 2 puts it first; the tie in chunk 1, whose
+        # bound is tight, must still be evaluated.
+        [(300, 1, 0.0), (slice(256, 384), -2e-10), (150, 2, 8e-11), (150, 8e-11)],
+        # Bounds that differ by ulps: chunk 0 goes first, in index order.
+        [(10, 0, 0.0), (500, 3, 0.0), (slice(0, 700), 0.0), (slice(384, 512), -1e-16)],
+        # A tie and the minimum in the partial last chunk, both bounds tight.
+        [(660, 3, 5e-11), (690, 0, 0.0), (660, 5e-11), (690, 0.0)],
+        # Row 0 holds the minimum of chunk 0, but its first entry within
+        # TIE_TOL of that is no tie of the lower minimum in chunk 1.
+        [(0, 0, 5e-11), (0, 3, 0.0), (slice(0, 128), -5e-11), (200, 2, -9e-11), (200, -9e-11)],
     ],
 )
 def test_scan_matches_two_pass_reference(cells):
     # 700 rows span six chunks, the even ones on stripe 0 and the odd ones
     # on stripe 1; a near tie in an earlier chunk than the minimum must
     # win, as in a full scan for the minimum followed by a row-major scan
-    # for the first entry within TIE_TOL.
+    # for the first entry within TIE_TOL. A (rows, value) cell sets the
+    # bound of those rows, and the table then bounds every other row by 1.
     rng = np.random.default_rng(0)
     table = rng.uniform(1.0, 2.0, size=(700, 5))
-    for row, col, value in cells:
-        table[row, col] = value
+    bound = np.ones(700)
+    for *at, value in cells:
+        (bound if len(at) == 1 else table)[tuple(at)] = value
+
+    def rows(lo, hi):
+        return table[lo:hi]
+
+    if any(len(cell) == 2 for cell in cells):
+        rows.bound = bound
     grids = (np.arange(700.0), np.arange(5.0))
-    angles, _ = _scan(grids, 1, lambda *_: lambda lo, hi: table[lo:hi])
     flat = table.reshape(-1)
     first = int(np.argmax(flat <= flat.min() + TIE_TOL))
-    assert angles == divmod(first, 5)
+    for stop_early in (False, True):
+        angles, _ = _scan(grids, 1, lambda *_: rows, stop_early=stop_early)
+        assert angles == divmod(first, 5)
 
 
 # Full-precision JSON, written before the quantifiers took arrays. The

@@ -1,27 +1,37 @@
-"""The searches scan half of the theta grid; these tests hold them to the full grid.
+"""The searches scan half of the theta grid and skip the chunks an entropy
+bound rules out; these tests hold them to exhaustive full-grid searches.
 
 Measuring along -a is the measurement along a with its outcomes relabelled,
 so every search objective takes the same value at a grid point and at its
 antipodal image, which has a smaller theta index whenever steps_phi is
 even. The half-grid searches must therefore pick exactly the angles the
-full-grid searches pick.
+full-grid searches pick. The reference evaluates every chunk of every scan
+on one thread and ignores the bound, so it shares no code with the pruned
+scan beyond the row evaluators.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import oracle
 from qcorr.cli import main
 from qcorr.oracle import (
+    _BOUND_SLACK,
     _CHUNK_ROWS,
+    _REFINE_POINTS,
+    TIE_TOL,
     GridSpec,
     _bloch_axes,
     _dephased_entropy_rows,
     _grid_search,
     _phi_grid,
+    _scan,
     _search_thetas,
     _theta_grid,
     brute_force_discord,
@@ -62,8 +72,40 @@ def _states(n_triples=21, n_general=21, seed=8):
 STATES = _states()
 
 
+def _exhaustive_scan(grids, n_row_angles, rows):
+    """What _scan returns, from every chunk evaluated in order on one thread."""
+    shape = tuple(g.size for g in grids)
+    n_rows = int(np.prod(shape[:n_row_angles]))
+
+    def chunk(lo):
+        return rows(lo, min(lo + _CHUNK_ROWS, n_rows))
+
+    row_best = np.concatenate([chunk(lo).min(axis=1) for lo in range(0, n_rows, _CHUNK_ROWS)])
+    value = row_best.min()
+    row = int(np.argmax(row_best <= value + TIE_TOL))
+    line = chunk(row - row % _CHUNK_ROWS)[row % _CHUNK_ROWS]
+    col = int(np.argmax(line <= value + TIE_TOL))
+    idx = np.unravel_index(row * line.size + col, shape)
+    return tuple(g[i] for g, i in zip(grids, idx)), value
+
+
+def _exhaustive_search(grids, bounds, n_row_angles, table, refine):
+    """What _grid_search returns, from exhaustive scans of the grid and the window."""
+    best, value = _exhaustive_scan(grids, n_row_angles, table(*grids))
+    if refine:
+        windows = tuple(
+            np.linspace(max(lo, c - (g[1] - g[0])), min(hi, c + (g[1] - g[0])), _REFINE_POINTS)
+            for g, c, (lo, hi) in zip(grids, best, bounds)
+        )
+        refined, r_value = _exhaustive_scan(windows, n_row_angles, table(*windows))
+        if r_value < value - TIE_TOL:
+            best = refined
+    return best
+
+
 def _full_grid_twin(grid, monkeypatch, states=STATES):
-    """Run the public searches, and each recorded _grid_search call again over the full theta grid.
+    """Run the public searches, and each recorded _grid_search call again as
+    an exhaustive search over the full theta grid.
 
     Returns a list of (half-grid best, full-grid best) pairs.
     """
@@ -85,7 +127,7 @@ def _full_grid_twin(grid, monkeypatch, states=STATES):
         full = tuple(thetas if i % 2 == 0 else g for i, g in enumerate(grids))
         for half, whole in zip(grids[::2], full[::2]):
             assert np.array_equal(half, whole[: half.size])
-        pairs.append((best, _grid_search(full, bounds, n_row_angles, table, refine)))
+        pairs.append((best, _exhaustive_search(full, bounds, n_row_angles, table, refine)))
     return pairs
 
 
@@ -108,6 +150,142 @@ def test_half_grid_search_equals_full_grid_on_mixed_grids(theta_phi, monkeypatch
 def test_half_grid_search_equals_full_grid_at_64_steps(monkeypatch):
     pairs = _full_grid_twin(GridSpec(), monkeypatch, [STATES[2], STATES[-1]])
     assert [repr(half) for half, _ in pairs] == [repr(full) for _, full in pairs]
+
+
+def _recorded_scans(grid, monkeypatch, states=STATES):
+    """Run the public searches and record every _scan call: its arguments,
+    its result and the row blocks it evaluated."""
+    records = []
+
+    def spy(grids, n_row_angles, table, **options):
+        blocks = []
+
+        def counted_table(*args):
+            rows = table(*args)
+
+            def counted(lo, hi):
+                blocks.append((lo, hi))
+                return rows(lo, hi)
+
+            if hasattr(rows, "bound"):
+                counted.bound = rows.bound
+            return counted
+
+        result = _scan(grids, n_row_angles, counted_table, **options)
+        records.append((grids, n_row_angles, table, options, result, blocks))
+        return result
+
+    monkeypatch.setattr(oracle, "_scan", spy)
+    for rho in states:
+        minimize_relative_entropy_basis(rho, grid)
+        brute_force_discord(rho, grid)
+    return records
+
+
+def _chunks(grids, n_row_angles):
+    return -(-int(np.prod([g.size for g in grids[:n_row_angles]])) // _CHUNK_ROWS)
+
+
+def _alive_chunks(rows, minimum):
+    """The chunks the skip alone would evaluate: only the early stop ends a scan before them."""
+    bound = np.minimum.reduceat(rows.bound, np.arange(0, rows.bound.size, _CHUNK_ROWS))
+    return int(np.sum(bound - _BOUND_SLACK <= minimum + TIE_TOL))
+
+
+@pytest.mark.parametrize("steps", [3, 16, 17, 32])
+def test_pruned_scan_equals_exhaustive_scan(steps, monkeypatch):
+    records = _recorded_scans(GridSpec(steps, steps, 2), monkeypatch)
+    skipped = stopped = windows_ruled_out = 0
+    for grids, n_row_angles, table, options, result, blocks in records:
+        rows = table(*grids)
+        exact = _exhaustive_scan(grids, n_row_angles, rows)
+        if result is None:  # the window's bound rules out adopting any point
+            assert exact[1] >= options["below"]
+            windows_ruled_out += 1
+        elif options.get("stop_early"):
+            assert result[0] == exact[0]
+            assert exact[1] <= result[1] <= exact[1] + TIE_TOL
+            stopped += hasattr(rows, "bound") and len(blocks) < _alive_chunks(rows, exact[1])
+        else:
+            assert repr(result) == repr(exact)
+            skipped += len(blocks) < _chunks(grids, n_row_angles)
+    assert skipped and windows_ruled_out
+    assert stopped or steps < 17  # below 17 steps every coarse table is one chunk
+
+
+def test_bound_certifies_one_coarse_chunk_for_bell_diagonal_states(monkeypatch):
+    # Werner: every chunk's bound is the same up to ulps, so only the early
+    # stop can end the scan after one chunk; the window bound then rules out
+    # refinement. Asymmetric: the skip leaves one chunk and one window chunk.
+    # A full-rank state gets no such help.
+    states = [werner_state(0.5), bell_diagonal_state((0.7, -0.3, 0.5)), STATES[-1]]
+    records = _recorded_scans(GridSpec(), monkeypatch, states)
+    counts = [len(blocks) for grids, n, *_, blocks in records if n == 2]
+    assert counts[:4] == [1, 0, 1, 1]
+    assert counts[4] > 1
+    grids, _, table, *_ = records[0]
+    assert np.ptp(table(*grids).bound) < TIE_TOL
+
+
+def test_refinement_rescans_an_early_stopped_grid_it_cannot_decide():
+    # The coarse scan stops after chunk 0 at U = 0, but chunk 1 holds the
+    # minimum, -0.5 TIE_TOL. The window's minimum, -1.45 TIE_TOL, lies more
+    # than TIE_TOL below U and less than TIE_TOL below the minimum, so only
+    # the exact coarse value shows that refinement must not adopt it.
+    rng = np.random.default_rng(1)
+    coarse = rng.uniform(1.0, 2.0, size=(700, 5))
+    coarse[0, 0], coarse[200, 1] = 0.0, -0.5 * TIE_TOL
+    coarse_bound = np.ones(700)
+    coarse_bound[:128], coarse_bound[200] = -0.6 * TIE_TOL, -0.5 * TIE_TOL
+    window = rng.uniform(1.0, 2.0, size=(21, 21))
+    window[3, 4] = -1.45 * TIE_TOL
+
+    def table(rows_grid, cols_grid):
+        values, bound = (coarse, coarse_bound) if rows_grid.size == 700 else (window, window.min(1))
+
+        def rows(lo, hi):
+            return values[lo:hi]
+
+        rows.bound = bound
+        return rows
+
+    grids = (np.arange(700.0), np.arange(5.0))
+    bounds = ((-np.inf, np.inf),) * 2
+    expected = _exhaustive_search(grids, bounds, 1, table, True)
+    assert expected == (0.0, 0.0)
+    assert _grid_search(grids, bounds, 1, table, True) == expected
+
+
+def test_pruned_scan_keeps_a_minimum_an_ulp_below_the_first_chunk():
+    # For Werner z = 0.9 the bound is flat within ulps, and the 64-step
+    # table's minimum lies in chunk 13, 1e-15 below the minimum of chunk 0:
+    # a bound raised by a hair would skip that chunk and report chunk 0's.
+    thetas, phis = _search_thetas(GridSpec()), _phi_grid(64)
+    grids = (thetas, phis, thetas, phis)
+    table = functools.partial(_dephased_entropy_rows, bloch_decompose(werner_state(0.9)))
+    assert repr(_scan(grids, 2, table)) == repr(_exhaustive_scan(grids, 2, table(*grids)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    st.integers(1, 4),
+    st.integers(2, 9),
+    st.integers(2, 9),
+)
+def test_row_minima_never_fall_below_the_entropy_bound(entries, rank, steps_theta, steps_phi):
+    # Rounding puts an entry at most a few 1e-15 below its bound, pure
+    # states included: far inside the slack the scan allows.
+    a = np.reshape(entries, (4, 4, 2))[:, :rank]
+    g = a[..., 0] + 1j * a[..., 1]
+    rho = g @ g.conj().T
+    if np.trace(rho).real < 1e-6:
+        return
+    thetas, phis = _theta_grid(steps_theta), _phi_grid(steps_phi)
+    bloch = bloch_decompose(rho / np.trace(rho).real)
+    rows = _dephased_entropy_rows(bloch, thetas, phis, thetas, phis)
+    row_min = rows(0, thetas.size * phis.size).min(axis=1)
+    assert np.all(row_min >= rows.bound - _BOUND_SLACK / 100)
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,50 @@ def test_one_audit_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert [r for r in results if r[1]] == []
 
 
+def test_one_audit_cycle_evaluates_one_coarse_relative_entropy_chunk(monkeypatch, tmp_path):
+    # The entropy bound leaves one 128-row chunk of the 2048-row coarse
+    # table for every state of a cycle: the Werner state by the early stop,
+    # the asymmetric triples by the skip.
+    _load_bench_module("reference", monkeypatch)
+    audit = _load_bench_module("workloads", monkeypatch).Audit(qcorr, tmp_path)
+    ops = list(itertools.islice(audit.ops(np.random.default_rng(1)), len(audit.CYCLE)))
+    evaluate = qcorr.oracle._dephased_entropy_rows
+    coarse = []
+
+    def counting(bloch, *grids):
+        rows = evaluate(bloch, *grids)
+        if grids[0].size * grids[1].size < 2048:  # a refinement window
+            return rows
+        coarse.append(0)
+
+        def counted(lo, hi):
+            coarse[-1] += 1
+            return rows(lo, hi)
+
+        counted.bound = rows.bound
+        return counted
+
+    monkeypatch.setattr(qcorr.oracle, "_dephased_entropy_rows", counting)
+    for op in ops:
+        assert audit.run(op)[0] in (0, 3)
+    assert coarse == [1] * len(audit.CYCLE)
+
+
+@pytest.mark.parametrize("steps", ["64", "65"])
+@pytest.mark.parametrize("state", ["--werner=0.5", "--bd=0.7,-0.3,0.5"])
+def test_bell_diagonal_verify_starts_no_thread(state, steps, monkeypatch, capsys):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert qcorr.cli.main(["verify", state, "--steps", steps]) in (0, 3)
+    assert started == []
+
+
 def test_import_starts_no_thread():
     probe = (
         "import sys, threading\n"
@@ -98,6 +142,9 @@ def test_laqc_and_discord_searches_start_no_thread(grid, monkeypatch):
     maximize_laqc(rho, (QubitBasis.standard(), QubitBasis.standard()), grid)
     brute_force_discord(rho, grid)
     assert started == []
-    # The relative-entropy refinement window, 441 rows, does start a helper.
-    minimize_relative_entropy_basis(rho, GridSpec(4, 4, 2))
+    # The relative-entropy refinement window, 441 rows, starts a helper when
+    # its entropy bound leaves enough of it alive, as for this full-rank state.
+    g = np.random.default_rng(0).normal(size=(4, 4, 2)) @ (1.0, 1j)
+    general = g @ g.conj().T
+    minimize_relative_entropy_basis(general / np.trace(general).real, GridSpec(4, 4, 2))
     assert len(started) == 1
