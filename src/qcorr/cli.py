@@ -261,10 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except OSError as exc:  # stdout: every file write raises CliError
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -20,38 +20,38 @@ computational basis whenever it is optimal.
 
 All three oracles share one search (:func:`_grid_search`), and every
 search minimizes: the LAQC evaluator tabulates minus the mutual
-information. The product grid is streamed in 128-row chunks that keep
-each row's minimum. The relative-entropy table bounds its rows from below
-(the LAQC and discord tables carry no bound and are scanned in full): the
-entropy of measuring along a on A and any b on B is at least
-LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and r_s the
-probability and B's Bloch vector after outcome s, since a measured
-entropy is never below the von Neumann entropy (Nielsen & Chuang,
-Thm 11.9). Chunks whose smallest LB lies within TIE_TOL of the smallest
-of all go first, in index order, and the rest in ascending smallest LB.
-With eps = 1e-12 of slack under LB, U the smallest row minimum found so
+information. The scan takes the table in 128-row chunks and keeps each
+evaluated row's minimum. The relative-entropy table bounds its rows from
+below, as a measured entropy is never below the von Neumann entropy
+(Nielsen & Chuang, Thm 11.9): measuring along a on A and any b on B gives
+at least LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and
+r_s the probability and B's Bloch vector after outcome s. Chunks go in
+ascending smallest LB, those within TIE_TOL of the smallest in index
+order. With eps = 1e-12 of slack under LB, U the smallest row minimum so
 far and L the smallest LB - eps (an evaluated row counting its minimum),
 the minimum lies in [L, U], and:
 
-* skip: a chunk with LB - eps above U + TIE_TOL on every row holds
-  neither the minimum nor a tie;
-* early stop: take the first row not shown above U + TIE_TOL by its
-  minimum or its LB - eps. Once it is evaluated with a minimum at most
-  L + TIE_TOL, its first entry at most U + TIE_TOL is the answer if that
-  entry is at most L + TIE_TOL too;
+* skip: a row with LB - eps above U + TIE_TOL holds neither the minimum
+  nor a tie, so a chunk evaluates only the span of its live rows, those
+  neither so ruled out nor evaluated yet. The first chunk first evaluates
+  its seed row, its first within TIE_TOL of its smallest LB. The LAQC and
+  discord tables carry no bound: every row is live;
+* early stop, tested after the seed row and after the first chunk: take
+  the first row not shown above U + TIE_TOL by its minimum or LB - eps.
+  Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
+  at most U + TIE_TOL is the answer if that entry is at most L + TIE_TOL;
 * refinement is skipped when the window's smallest LB - eps is at least
   U - TIE_TOL, as it adopts a point only below the minimum - TIE_TOL.
   When a refined value lies too close to an early-stopped U to decide,
   the coarse grid is scanned again without the early stop.
 
-The calling thread evaluates the first chunk and tests the early stop;
-the chunks still alive go, in order, to two interleaved stripes, the
-calling thread and one helper thread (numpy releases the interpreter lock
-while it fills a chunk). Each stripe tests the skip against the shared U
-before every chunk; a stale U is only larger, so the answer never
-depends on timing. Only the relative-entropy evaluator, which calls no
-public qcorr function, runs off the calling thread: the LAQC and discord
-grids fit one chunk, and the bound is computed before any helper starts.
+The chunks alive after the first go, in order, to two interleaved
+stripes, the calling thread and one helper thread (numpy releases the
+interpreter lock while it fills a chunk). A stripe finds a chunk's live
+rows against the shared U, which a stale read only overstates, so the
+answer never depends on timing. Only the relative-entropy evaluator,
+which calls no public qcorr function, runs off the calling thread: the
+LAQC and discord grids fit one chunk, and the bound is computed first.
 
 The relative-entropy and discord searches scan only the first half of the
 theta grid. Measuring along -a is the measurement along a with its
@@ -217,15 +217,15 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     """(first lexicographic grid point within TIE_TOL of the minimum, minimum).
 
     The table has a row per point of the product of grids[:n_row_angles]
-    and a column per point of the product of the rest; ``table(*grids)``
-    returns ``rows(lo, hi)``, the block of rows lo..hi, which may carry
-    ``rows.bound``, a lower bound on each row's entries. Chunks are ordered,
-    skipped and stopped early as the module docstring sets out. Returns
-    None, evaluating nothing, when the bound puts every entry at or above
-    ``below``. Only with ``stop_early`` may the value returned, the smallest
-    entry evaluated, sit above the minimum (by up to TIE_TOL). ``rows`` must
-    be safe to call from several threads at once; an exception raised in a
-    helper is raised here once every helper has finished.
+    and a column per point of the product of the rest. ``table(*grids)``
+    returns ``rows(lo, hi)``: rows lo..hi of one chunk, with the bits they
+    have in the whole chunk's block, and ``rows.bound``, if set, a lower
+    bound on each row's entries. Returns None, evaluating nothing, when the
+    bound puts every entry at or above ``below``. Only with ``stop_early``
+    may the value returned, the smallest entry evaluated, sit above the
+    minimum (by up to TIE_TOL). ``rows`` must be safe to call from several
+    threads at once; an exception raised in a helper is raised here once
+    every helper has finished.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
@@ -237,30 +237,27 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     chunk_floor = np.minimum.reduceat(floor, np.arange(0, n_rows, _CHUNK_ROWS))
     # Chunks within TIE_TOL of the smallest bound share one key and keep index order.
     order = np.argsort(np.maximum(chunk_floor, chunk_floor.min() + TIE_TOL), kind="stable")
-    done = set()
-    kept = [math.inf, -1, None]  # the smallest row minimum, its chunk and the chunk's table
+    evaluated = np.zeros(n_rows, dtype=bool)
+    kept = [math.inf, range(0), None]  # the smallest row minimum, its block's rows and the block
     lock = threading.Lock()
     errors = []
 
-    def chunk_rows(chunk):
-        return rows(chunk * _CHUNK_ROWS, min((chunk + 1) * _CHUNK_ROWS, n_rows))
-
-    def evaluate(chunk):
-        block, lo = chunk_rows(chunk), chunk * _CHUNK_ROWS
-        least = floor[lo : lo + len(block)] = block.min(axis=1)
-        done.add(chunk)
+    def evaluate(lo, hi):
+        block = rows(lo, hi)
+        least = floor[lo:hi] = block.min(axis=1)
+        evaluated[lo:hi] = True
         with lock:
             if least.min() < kept[0]:
-                kept[:] = least.min(), chunk, block
+                kept[:] = least.min(), range(lo, hi), block
 
-    def alive(chunk):
-        # A stale minimum is only larger, so the skip stays sound.
-        return chunk_floor[chunk] <= kept[0] + TIE_TOL
-
-    def stripe(chunks):
+    def stripe(chunks, seed=False):
         for chunk in chunks:
-            if alive(chunk):
-                evaluate(chunk)
+            # Rows not evaluated yet within TIE_TOL of U, or for the seed of the chunk's floor.
+            at = slice(chunk * _CHUNK_ROWS, (chunk + 1) * _CHUNK_ROWS)
+            limit = (chunk_floor[chunk] if seed else kept[0]) + TIE_TOL
+            live = at.start + np.flatnonzero(~evaluated[at] & (floor[at] <= limit))
+            if live.size:
+                evaluate(live[0], live[0 if seed else -1] + 1)
 
     def helper(chunks):
         try:
@@ -270,24 +267,22 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
 
     def first_tie(low, high):
         """The first entry within TIE_TOL of every value in [low, high], where
-        the minimum lies, or None when the evaluated chunks cannot tell."""
+        the minimum lies, or None when the evaluated rows cannot tell."""
         row = int(np.argmax(floor <= high + TIE_TOL))
-        chunk, offset = divmod(row, _CHUNK_ROWS)
-        if chunk not in done or floor[row] > low + TIE_TOL:
+        if not evaluated[row] or floor[row] > low + TIE_TOL:
             return None
-        line = (kept[2] if kept[1] == chunk else chunk_rows(chunk))[offset]
+        line = kept[2][row - kept[1].start] if row in kept[1] else rows(row, row + 1)[0]
         col = int(np.argmax(line <= high + TIE_TOL))
         if line[col] > low + TIE_TOL:
             return None
         idx = np.unravel_index(row * line.size + col, shape)
         return tuple(g[i] for g, i in zip(grids, idx))
 
-    evaluate(order[0])
-    if stop_early:
-        best = first_tie(floor.min(), kept[0])
-        if best is not None:
+    for seed in (True, False) if hasattr(rows, "bound") else (False,):
+        stripe(order[:1], seed)
+        if stop_early and (best := first_tie(floor.min(), kept[0])):
             return best, kept[0]
-    queue = [order[0], *filter(alive, order[1:])]
+    queue = [order[0], *(c for c in order[1:] if chunk_floor[c] <= kept[0] + TIE_TOL)]
     # Chunk k of the queue goes to stripe k % _STRIPES; the calling thread is
     # stripe 0 and starts helpers only when it has a chunk of its own left.
     lanes = [queue[s::_STRIPES] for s in range(_STRIPES)] if len(queue) > _STRIPES else [queue]
@@ -314,10 +309,7 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     Refinement rescans a +-1 coarse cell window per angle, clipped to the
     angle's (lower, upper) bounds, and adopts the refined point only on a
     real improvement, so coarse lexicographic tie-breaking survives float
-    noise. The coarse scan may stop early, so its value may sit up to
-    TIE_TOL above the minimum: the window is skipped when its bound shows
-    that no point improves on that value by TIE_TOL, and the coarse grid is
-    scanned again in full when the value is too close to decide.
+    noise; the module docstring sets out when the window is skipped.
     """
     best, value = _scan(grids, n_row_angles, table, stop_early=True)
     if refine:
@@ -344,6 +336,7 @@ class _Scratch(threading.local):
 
     def __init__(self, shape, *dtypes):
         self.arrays = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+        self.chunk = None  # the first row of the chunk the arrays hold, if any
 
 
 def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
@@ -354,8 +347,11 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     and yields it, one table at a time in the outcome order (+,+), (+,-),
     (-,+), (-,-). A caller that consumes each table before the next may
     pass one buffer four times. Every table is bitwise equal to
-    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right. Threads
-    may call ``tables`` at once: each has its own buffer for k.
+    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right, with k
+    from the product over the whole chunk holding lo..hi (a product's
+    rounding may change with its row count), so any run of rows inside a
+    chunk has the bits it has in the chunk's tables. Threads may call
+    ``tables`` at once: each keeps its own k, of the chunk it took last.
     """
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
@@ -364,7 +360,12 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
 
     def tables(lo: int, hi: int, out):
         (k_buf,) = scratch.arrays
-        k = np.matmul(axes_a[lo:hi], tb, out=k_buf[: hi - lo])
+        c0 = lo - lo % _CHUNK_ROWS
+        if scratch.chunk != c0:
+            c1 = min(c0 + _CHUNK_ROWS, axes_a.shape[0])
+            np.matmul(axes_a[c0:c1], tb, out=k_buf[: c1 - c0])
+            scratch.chunk = c0
+        k = k_buf[lo - c0 : hi - c0]
         xa = xa_all[lo:hi, None]
         for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
             np.add(1.0 + s * xa, t * yb[None, :], out=p)
@@ -383,16 +384,15 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     Rows are basis angles on A, columns on B. Minimizing
     S(rho || dephase(rho, basis)) is minimizing this entropy since the
     dephasing shares rho's diagonal, making the relative entropy
-    S(dephased) - S(rho) with S(rho) fixed. Each chunk's table is bitwise
-    equal to minus the sum of xlog2 over the four outcome tables; the
-    per-chunk buffers are allocated once per thread. ``rows.bound`` holds
+    S(dephased) - S(rho) with S(rho) fixed. The table of any run of rows is
+    bitwise equal to minus the sum of xlog2 over the four outcome tables;
+    the per-chunk buffers are allocated once per thread. ``rows.bound`` holds
     each row's entropy lower bound, computed on the calling thread.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
     tables = _outcome_rows(bloch, axes_a, axes_b)
-    shape = (min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0])
-    scratch = _Scratch(shape, float, float, bool)
+    scratch = _Scratch((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]), float, float, bool)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         p_buf, plogp_buf, pos_buf = scratch.arrays

@@ -1,8 +1,10 @@
 import argparse
+import errno
 import io
 import json
 import os
 import stat
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -338,6 +340,30 @@ class TestBoundaries:
         finally:
             os.umask(old)
         assert code == 0 and stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--werner", "0.5"],
+            ["verify", "--werner", "0.5", "--steps", "4"],
+            ["sweep", "--z-steps", "3"],
+            ["channel", "--channel", "depolarizing", "--z-steps", "3", "--output", "-"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_full_stdout_exits_2(self, capsys, monkeypatch, argv, method):
+        # As on a full device: the write, or only the flush of what was
+        # buffered, fails with ENOSPC.
+        def no_space(*_):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.StringIO()
+        setattr(stdout, method, no_space)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
     def test_verify_steps_above_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--werner", "0.5", "--steps", "129")

@@ -103,6 +103,12 @@ class TestAsymmetricTripleAngles:
         # Row 0 holds the minimum of chunk 0, but its first entry within
         # TIE_TOL of that is no tie of the lower minimum in chunk 1.
         [(0, 0, 5e-11), (0, 3, 0.0), (slice(0, 128), -5e-11), (200, 2, -9e-11), (200, -9e-11)],
+        # The seed row 130 is the first within TIE_TOL of chunk 1's floor but
+        # not its minimum; after it, only rows 150 and 200 of the chunk live.
+        [(130, 4, 5e-10), (150, 2, 0.0), (200, 3, -5e-11), (130, 0.0), (150, 0.0), (200, -5e-11)],
+        # The seed row 10 holds no tie: row 3, above the floor by more than
+        # TIE_TOL, holds the first one.
+        [(3, 0, 1.5e-10), (10, 2, 1.8e-10), (3, 1.5e-10), (10, 0.0)],
     ],
 )
 def test_scan_matches_two_pass_reference(cells):

@@ -1,4 +1,4 @@
-"""The searches scan half of the theta grid and skip the chunks an entropy
+"""The searches scan half of the theta grid and skip the rows an entropy
 bound rules out; these tests hold them to exhaustive full-grid searches.
 
 Measuring along -a is the measurement along a with its outcomes relabelled,
@@ -213,16 +213,16 @@ def test_pruned_scan_equals_exhaustive_scan(steps, monkeypatch):
     assert stopped or steps < 17  # below 17 steps every coarse table is one chunk
 
 
-def test_bound_certifies_one_coarse_chunk_for_bell_diagonal_states(monkeypatch):
-    # Werner: every chunk's bound is the same up to ulps, so only the early
-    # stop can end the scan after one chunk; the window bound then rules out
-    # refinement. Asymmetric: the skip leaves one chunk and one window chunk.
-    # A full-rank state gets no such help.
+def test_bound_leaves_at_most_two_coarse_rows_for_bell_diagonal_states(monkeypatch):
+    # Werner: every row's bound is the same up to ulps, so only the early
+    # stop can end the scan, right after the seed row; the window bound then
+    # rules out refinement. Asymmetric: the skip leaves two rows of one chunk
+    # and the seed row of the window. A full-rank state gets no such help.
     states = [werner_state(0.5), bell_diagonal_state((0.7, -0.3, 0.5)), STATES[-1]]
     records = _recorded_scans(GridSpec(), monkeypatch, states)
-    counts = [len(blocks) for grids, n, *_, blocks in records if n == 2]
-    assert counts[:4] == [1, 0, 1, 1]
-    assert counts[4] > 1
+    counts = [sum(hi - lo for lo, hi in blocks) for grids, n, *_, blocks in records if n == 2]
+    assert counts[:4] == [1, 0, 2, 1]
+    assert counts[4] > _CHUNK_ROWS
     grids, _, table, *_ = records[0]
     assert np.ptp(table(*grids).bound) < TIE_TOL
 
@@ -347,19 +347,31 @@ def _parent_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b):
         (_theta_grid(16), _phi_grid(16)),
         (_theta_grid(17), _phi_grid(17)),  # a partial last chunk
         (_search_thetas(GridSpec()), _phi_grid(64)),  # every chunk a 64-step search scans
+        (np.linspace(0.3, 0.4, _REFINE_POINTS), np.linspace(1.0, 1.2, _REFINE_POINTS)),
     ],
-    ids=["16", "17", "64"],
+    ids=["16", "17", "64", "window"],
 )
 def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
+    # The scan also evaluates single rows and runs of rows inside a chunk,
+    # and each must carry the bits those rows have in the whole chunk's
+    # table: every row after its chunk, and random runs from a second
+    # evaluator, the first run of each chunk before it has seen the chunk.
+    rng = np.random.default_rng(3)
     n_rows = thetas.size * phis.size
     for rho in STATES[:6] + STATES[-6:]:
         bloch = bloch_decompose(rho)
         grids = (thetas, phis, thetas, phis)
-        rows = _dephased_entropy_rows(bloch, *grids)
+        rows, other = (_dephased_entropy_rows(bloch, *grids) for _ in range(2))
         reference = _parent_dephased_entropy_rows(bloch, *grids)
         for lo in range(0, n_rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n_rows)
-            assert rows(lo, hi).tobytes() == reference(lo, hi).tobytes(), (lo, hi)
+            block = rows(lo, hi)
+            assert block.tobytes() == reference(lo, hi).tobytes(), (lo, hi)
+            for row in range(lo, hi):
+                assert rows(row, row + 1).tobytes() == block[row - lo].tobytes(), row
+            for _ in range(2):
+                a, b = sorted(rng.choice(hi - lo + 1, 2, replace=False) + lo)
+                assert other(a, b).tobytes() == block[a - lo : b - lo].tobytes(), (a, b)
 
 
 VERIFY_64 = json.loads((DATA / "cli_verify_64.json").read_text())

@@ -65,24 +65,24 @@ def test_one_audit_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert [r for r in results if r[1]] == []
 
 
-def test_one_audit_cycle_evaluates_one_coarse_relative_entropy_chunk(monkeypatch, tmp_path):
-    # The entropy bound leaves one 128-row chunk of the 2048-row coarse
-    # table for every state of a cycle: the Werner state by the early stop,
-    # the asymmetric triples by the skip.
+def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monkeypatch, tmp_path):
+    # The entropy bound leaves at most two rows of the 2048-row coarse table
+    # and one row of a refinement window for every state of a cycle: the
+    # Werner state stops early after its seed row, the asymmetric triples
+    # skip every other row.
     _load_bench_module("reference", monkeypatch)
     audit = _load_bench_module("workloads", monkeypatch).Audit(qcorr, tmp_path)
     ops = list(itertools.islice(audit.ops(np.random.default_rng(1)), len(audit.CYCLE)))
     evaluate = qcorr.oracle._dephased_entropy_rows
-    coarse = []
+    counts = []
 
     def counting(bloch, *grids):
         rows = evaluate(bloch, *grids)
-        if grids[0].size * grids[1].size < 2048:  # a refinement window
-            return rows
-        coarse.append(0)
+        count = [grids[0].size * grids[1].size, 0]  # rows of the table, rows evaluated
+        counts.append(count)
 
         def counted(lo, hi):
-            coarse[-1] += 1
+            count[1] += hi - lo
             return rows(lo, hi)
 
         counted.bound = rows.bound
@@ -91,7 +91,10 @@ def test_one_audit_cycle_evaluates_one_coarse_relative_entropy_chunk(monkeypatch
     monkeypatch.setattr(qcorr.oracle, "_dephased_entropy_rows", counting)
     for op in ops:
         assert audit.run(op)[0] in (0, 3)
-    assert coarse == [1] * len(audit.CYCLE)
+    coarse = [n for size, n in counts if size == 2048]
+    assert coarse[0] == 1 and len(coarse) == len(audit.CYCLE)
+    assert max(coarse) <= 2
+    assert max(n for size, n in counts if size < 2048) <= 1
 
 
 @pytest.mark.parametrize("steps", ["64", "65"])
