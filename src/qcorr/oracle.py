@@ -32,10 +32,11 @@ far and L the smallest LB - eps (an evaluated row counting its minimum),
 the minimum lies in [L, U], and:
 
 * skip: a row with LB - eps above U + TIE_TOL holds neither the minimum
-  nor a tie, so a chunk evaluates only the span of its live rows, those
-  neither so ruled out nor evaluated yet. The first chunk first evaluates
-  its seed row, its first within TIE_TOL of its smallest LB. The LAQC and
-  discord tables carry no bound: every row is live;
+  nor a tie, so a chunk evaluates only its runs of consecutive live rows,
+  those neither so ruled out nor evaluated yet, each against U as the
+  runs before it left it. The first chunk first evaluates its seed row,
+  its first within TIE_TOL of its smallest LB. The LAQC and discord
+  tables carry no bound: every row is live;
 * early stop, tested after the seed row and after the first chunk: take
   the first row not shown above U + TIE_TOL by its minimum or LB - eps.
   Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
@@ -44,14 +45,6 @@ the minimum lies in [L, U], and:
   U - TIE_TOL, as it adopts a point only below the minimum - TIE_TOL.
   When a refined value lies too close to an early-stopped U to decide,
   the coarse grid is scanned again without the early stop.
-
-The chunks alive after the first go, in order, to two interleaved
-stripes, the calling thread and one helper thread (numpy releases the
-interpreter lock while it fills a chunk). A stripe finds a chunk's live
-rows against the shared U, which a stale read only overstates, so the
-answer never depends on timing. Only the relative-entropy evaluator,
-which calls no public qcorr function, runs off the calling thread: the
-LAQC and discord grids fit one chunk, and the bound is computed first.
 
 The relative-entropy and discord searches scan only the first half of the
 theta grid. Measuring along -a is the measurement along a with its
@@ -79,7 +72,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +116,6 @@ _CHUNK_ROWS = 128
 # Slack under a row's entropy bound: rounding puts an entry at most a few
 # 1e-15 below it, pure states included, and TIE_TOL is 100 times larger.
 _BOUND_SLACK = 1e-12
-# Row stripes a scan runs in parallel; in-flight memory grows with each.
-_STRIPES = 2
 # The relative-entropy search evaluates about steps**4 grid points.
 _MAX_STEPS = 128
 _THETA_BOUNDS = (0.0, math.pi)
@@ -223,9 +213,8 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     bound on each row's entries. Returns None, evaluating nothing, when the
     bound puts every entry at or above ``below``. Only with ``stop_early``
     may the value returned, the smallest entry evaluated, sit above the
-    minimum (by up to TIE_TOL). ``rows`` must be safe to call from several
-    threads at once; an exception raised in a helper is raised here once
-    every helper has finished.
+    minimum (by up to TIE_TOL). The chunks and their runs of live rows are
+    evaluated in turn on the calling thread.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
@@ -239,31 +228,25 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     order = np.argsort(np.maximum(chunk_floor, chunk_floor.min() + TIE_TOL), kind="stable")
     evaluated = np.zeros(n_rows, dtype=bool)
     kept = [math.inf, range(0), None]  # the smallest row minimum, its block's rows and the block
-    lock = threading.Lock()
-    errors = []
 
-    def evaluate(lo, hi):
-        block = rows(lo, hi)
-        least = floor[lo:hi] = block.min(axis=1)
-        evaluated[lo:hi] = True
-        with lock:
-            if least.min() < kept[0]:
-                kept[:] = least.min(), range(lo, hi), block
-
-    def stripe(chunks, seed=False):
-        for chunk in chunks:
+    def take(chunk, seed=False):
+        at = slice(chunk * _CHUNK_ROWS, (chunk + 1) * _CHUNK_ROWS)
+        while True:
             # Rows not evaluated yet within TIE_TOL of U, or for the seed of the chunk's floor.
-            at = slice(chunk * _CHUNK_ROWS, (chunk + 1) * _CHUNK_ROWS)
             limit = (chunk_floor[chunk] if seed else kept[0]) + TIE_TOL
             live = at.start + np.flatnonzero(~evaluated[at] & (floor[at] <= limit))
-            if live.size:
-                evaluate(live[0], live[0 if seed else -1] + 1)
-
-    def helper(chunks):
-        try:
-            stripe(chunks)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
+            if not live.size:
+                return
+            # The seed row alone, or the first run of consecutive live rows.
+            lo = live[0]
+            hi = lo + 1 if seed else live[np.argmax(np.diff(live, append=n_rows + 1) > 1)] + 1
+            block = rows(lo, hi)
+            least = floor[lo:hi] = block.min(axis=1)
+            evaluated[lo:hi] = True
+            if least.min() < kept[0]:
+                kept[:] = least.min(), range(lo, hi), block
+            if seed:
+                return
 
     def first_tie(low, high):
         """The first entry within TIE_TOL of every value in [low, high], where
@@ -279,27 +262,11 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
         return tuple(g[i] for g, i in zip(grids, idx))
 
     for seed in (True, False) if hasattr(rows, "bound") else (False,):
-        stripe(order[:1], seed)
+        take(order[0], seed)
         if stop_early and (best := first_tie(floor.min(), kept[0])):
             return best, kept[0]
-    queue = [order[0], *(c for c in order[1:] if chunk_floor[c] <= kept[0] + TIE_TOL)]
-    # Chunk k of the queue goes to stripe k % _STRIPES; the calling thread is
-    # stripe 0 and starts helpers only when it has a chunk of its own left.
-    lanes = [queue[s::_STRIPES] for s in range(_STRIPES)] if len(queue) > _STRIPES else [queue]
-    helpers = [
-        threading.Thread(target=helper, args=(lane,), name=f"qcorr-scan-{s}")
-        for s, lane in enumerate(lanes[1:], 1)
-    ]
-    try:
-        for thread in helpers:
-            thread.start()
-        stripe(lanes[0][1:])
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
+    for chunk in order[1:]:
+        take(chunk)
     return first_tie(kept[0], kept[0]), kept[0]
 
 
@@ -331,14 +298,6 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     return best
 
 
-class _Scratch(threading.local):
-    """Scratch arrays of one shape, one set per thread, made on its first use."""
-
-    def __init__(self, shape, *dtypes):
-        self.arrays = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
-        self.chunk = None  # the first row of the chunk the arrays hold, if any
-
-
 def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     """Outcome tables of local projective measurements along unit axes.
 
@@ -350,21 +309,22 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right, with k
     from the product over the whole chunk holding lo..hi (a product's
     rounding may change with its row count), so any run of rows inside a
-    chunk has the bits it has in the chunk's tables. Threads may call
-    ``tables`` at once: each keeps its own k, of the chunk it took last.
+    chunk has the bits it has in the chunk's tables. ``tables`` keeps the k
+    of the chunk it formed last.
     """
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
-    scratch = _Scratch((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]), float)
+    k_buf = np.empty((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]))
+    k_chunk = None  # the first row of the chunk k_buf holds, if any
 
     def tables(lo: int, hi: int, out):
-        (k_buf,) = scratch.arrays
+        nonlocal k_chunk
         c0 = lo - lo % _CHUNK_ROWS
-        if scratch.chunk != c0:
+        if k_chunk != c0:
             c1 = min(c0 + _CHUNK_ROWS, axes_a.shape[0])
             np.matmul(axes_a[c0:c1], tb, out=k_buf[: c1 - c0])
-            scratch.chunk = c0
+            k_chunk = c0
         k = k_buf[lo - c0 : hi - c0]
         xa = xa_all[lo:hi, None]
         for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
@@ -386,16 +346,16 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     dephasing shares rho's diagonal, making the relative entropy
     S(dephased) - S(rho) with S(rho) fixed. The table of any run of rows is
     bitwise equal to minus the sum of xlog2 over the four outcome tables;
-    the per-chunk buffers are allocated once per thread. ``rows.bound`` holds
-    each row's entropy lower bound, computed on the calling thread.
+    the per-chunk buffers are allocated once per evaluator. ``rows.bound``
+    holds each row's entropy lower bound.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
     tables = _outcome_rows(bloch, axes_a, axes_b)
-    scratch = _Scratch((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]), float, float, bool)
+    shape = (min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0])
+    p_buf, plogp_buf, pos_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        p_buf, plogp_buf, pos_buf = scratch.arrays
         n = hi - lo
         h = np.zeros((n, axes_b.shape[0]))
         plogp, pos = plogp_buf[:n], pos_buf[:n]

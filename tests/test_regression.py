@@ -90,8 +90,8 @@ class TestAsymmetricTripleAngles:
         [(699, 3, 0.0)],
         [(300, 1, 1e-11), (650, 2, 0.0)],
         [(10, 0, 0.0)],
-        [(150, 2, 1e-11), (520, 1, 0.0)],  # tie in stripe 1, minimum in stripe 0
-        [(100, 4, 5e-11), (400, 0, 0.0)],  # tie in stripe 0, minimum in stripe 1
+        [(150, 2, 1e-11), (520, 1, 0.0)],  # tie in chunk 1, minimum in chunk 4
+        [(100, 4, 5e-11), (400, 0, 0.0)],  # tie in chunk 0, minimum in chunk 3
         [(660, 3, 5e-11), (690, 0, 0.0), (690, 2, 0.0)],  # both in the partial last chunk
         # The loose bound of chunk 2 puts it first; the tie in chunk 1, whose
         # bound is tight, must still be evaluated.
@@ -112,11 +112,11 @@ class TestAsymmetricTripleAngles:
     ],
 )
 def test_scan_matches_two_pass_reference(cells):
-    # 700 rows span six chunks, the even ones on stripe 0 and the odd ones
-    # on stripe 1; a near tie in an earlier chunk than the minimum must
-    # win, as in a full scan for the minimum followed by a row-major scan
-    # for the first entry within TIE_TOL. A (rows, value) cell sets the
-    # bound of those rows, and the table then bounds every other row by 1.
+    # 700 rows span six chunks, scanned in index order unless bounds order
+    # them; a near tie in an earlier chunk than the minimum must win, as in
+    # a full scan for the minimum followed by a row-major scan for the
+    # first entry within TIE_TOL. A (rows, value) cell sets the bound of
+    # those rows, and the table then bounds every other row by 1.
     rng = np.random.default_rng(0)
     table = rng.uniform(1.0, 2.0, size=(700, 5))
     bound = np.ones(700)

@@ -6,8 +6,8 @@ so every search objective takes the same value at a grid point and at its
 antipodal image, which has a smaller theta index whenever steps_phi is
 even. The half-grid searches must therefore pick exactly the angles the
 full-grid searches pick. The reference evaluates every chunk of every scan
-on one thread and ignores the bound, so it shares no code with the pruned
-scan beyond the row evaluators.
+in order and ignores the bound, so it shares no code with the pruned scan
+beyond the row evaluators.
 """
 
 import functools
@@ -53,6 +53,17 @@ NAMED_TRIPLES = [
 ]
 
 
+def _full_rank(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _full_rank_states(n, seed):
+    rng = np.random.default_rng(seed)
+    return [_full_rank(rng) for _ in range(n)]
+
+
 def _states(n_triples=21, n_general=21, seed=8):
     """The named triples, then random physical triples, then random full-rank states."""
     rng = np.random.default_rng(seed)
@@ -62,18 +73,14 @@ def _states(n_triples=21, n_general=21, seed=8):
             states.append(bell_diagonal_state(tuple(rng.uniform(-1.0, 1.0, size=3))))
         except ValueError:  # outside the physical tetrahedron
             continue
-    for _ in range(n_general):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        states.append(rho / np.trace(rho).real)
-    return states
+    return states + [_full_rank(rng) for _ in range(n_general)]
 
 
 STATES = _states()
 
 
 def _exhaustive_scan(grids, n_row_angles, rows):
-    """What _scan returns, from every chunk evaluated in order on one thread."""
+    """What _scan returns, from every chunk evaluated in order."""
     shape = tuple(g.size for g in grids)
     n_rows = int(np.prod(shape[:n_row_angles]))
 
@@ -217,12 +224,13 @@ def test_bound_leaves_at_most_two_coarse_rows_for_bell_diagonal_states(monkeypat
     # Werner: every row's bound is the same up to ulps, so only the early
     # stop can end the scan, right after the seed row; the window bound then
     # rules out refinement. Asymmetric: the skip leaves two rows of one chunk
-    # and the seed row of the window. A full-rank state gets no such help.
+    # and the seed row of the window. A full-rank state leaves rows of many
+    # chunks alive, but the scan evaluates only those still live when reached.
     states = [werner_state(0.5), bell_diagonal_state((0.7, -0.3, 0.5)), STATES[-1]]
     records = _recorded_scans(GridSpec(), monkeypatch, states)
     counts = [sum(hi - lo for lo, hi in blocks) for grids, n, *_, blocks in records if n == 2]
     assert counts[:4] == [1, 0, 2, 1]
-    assert counts[4] > _CHUNK_ROWS
+    assert 2 < counts[4] < _CHUNK_ROWS  # 26 of 2048, in runs over several chunks
     grids, _, table, *_ = records[0]
     assert np.ptp(table(*grids).bound) < TIE_TOL
 
@@ -256,14 +264,66 @@ def test_refinement_rescans_an_early_stopped_grid_it_cannot_decide():
     assert _grid_search(grids, bounds, 1, table, True) == expected
 
 
-def test_pruned_scan_keeps_a_minimum_an_ulp_below_the_first_chunk():
+SCAN_GRIDS = {
+    "16": (_theta_grid(16), _phi_grid(16)),  # two chunks
+    "17": (_theta_grid(17), _phi_grid(17)),  # a partial last chunk
+    "64": (_search_thetas(GridSpec()), _phi_grid(64)),  # the 64-step search's sixteen chunks
+}
+
+
+@pytest.mark.parametrize(
+    "rho, steps",
+    [pytest.param(werner_state(0.9), "64", id="werner-0.9-64")]
+    + [
+        pytest.param(rho, steps, id=f"full-rank-{i}-{steps}")
+        for steps in SCAN_GRIDS
+        for i, rho in enumerate(_full_rank_states(3, seed=10))
+    ],
+)
+def test_pruned_scan_keeps_a_minimum_an_ulp_below_the_first_chunk(rho, steps):
     # For Werner z = 0.9 the bound is flat within ulps, and the 64-step
     # table's minimum lies in chunk 13, 1e-15 below the minimum of chunk 0:
     # a bound raised by a hair would skip that chunk and report chunk 0's.
-    thetas, phis = _search_thetas(GridSpec()), _phi_grid(64)
+    # The full-rank states leave live rows in runs over several chunks.
+    thetas, phis = SCAN_GRIDS[steps]
     grids = (thetas, phis, thetas, phis)
-    table = functools.partial(_dephased_entropy_rows, bloch_decompose(werner_state(0.9)))
+    table = functools.partial(_dephased_entropy_rows, bloch_decompose(rho))
     assert repr(_scan(grids, 2, table)) == repr(_exhaustive_scan(grids, 2, table(*grids)))
+
+
+@pytest.mark.parametrize("steps", [64, 65])
+def test_scan_evaluates_only_rows_live_when_reached(steps, monkeypatch):
+    # A row is live while its bound - _BOUND_SLACK is at most U + TIE_TOL,
+    # with U the smallest entry its scan has evaluated so far, and not yet
+    # evaluated; only the answer's row may be fetched again, alone.
+    dead, twice, evaluated = [], [], []
+
+    def spy(grids, n_row_angles, table, **options):
+        def watched_table(*args):
+            rows = table(*args)
+            least, seen = [np.inf], np.zeros(rows.bound.size, dtype=bool)
+
+            def watched(lo, hi):
+                floor = rows.bound[lo:hi] - _BOUND_SLACK
+                dead.extend(lo + np.flatnonzero(floor > least[0] + TIE_TOL))
+                if hi - lo > 1:
+                    twice.extend(lo + np.flatnonzero(seen[lo:hi]))
+                seen[lo:hi] = True
+                block = rows(lo, hi)
+                least[0] = min(least[0], block.min())
+                evaluated.append(hi - lo)
+                return block
+
+            watched.bound = rows.bound
+            return watched
+
+        return _scan(grids, n_row_angles, watched_table, **options)
+
+    monkeypatch.setattr(oracle, "_scan", spy)
+    for rho in STATES[-4:]:
+        minimize_relative_entropy_basis(rho, GridSpec(steps, steps, 2))
+    assert sum(evaluated) > 4 * _CHUNK_ROWS
+    assert dead == [] and twice == []
 
 
 @settings(max_examples=60, deadline=None)

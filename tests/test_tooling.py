@@ -1,7 +1,9 @@
 """Guards for the benchmark: its tracer patches qcorr functions by name and
-keeps one span stack, so traced functions must run on one thread, and its
-audit checks hold the oracles to independent closed forms."""
+keeps one span stack, so importing qcorr and running any search must start
+no thread, and its audit checks hold the oracles to independent closed
+forms."""
 
+import functools
 import importlib
 import importlib.util
 import itertools
@@ -97,21 +99,6 @@ def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monk
     assert max(n for size, n in counts if size < 2048) <= 1
 
 
-@pytest.mark.parametrize("steps", ["64", "65"])
-@pytest.mark.parametrize("state", ["--werner=0.5", "--bd=0.7,-0.3,0.5"])
-def test_bell_diagonal_verify_starts_no_thread(state, steps, monkeypatch, capsys):
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    assert qcorr.cli.main(["verify", state, "--steps", steps]) in (0, 3)
-    assert started == []
-
-
 def test_import_starts_no_thread():
     probe = (
         "import sys, threading\n"
@@ -126,13 +113,38 @@ def test_import_starts_no_thread():
     assert proc.stdout.split() == ["1", "False"]
 
 
-@pytest.mark.parametrize(
-    "grid", [GridSpec(64, 64, 64), GridSpec(128, 128, 128), GridSpec(128, 127, 127)],
-    ids=["64", "128", "128-odd-phi"],
-)
-def test_laqc_and_discord_searches_start_no_thread(grid, monkeypatch):
-    # Their evaluators call traced functions (xlog2), so their tables must
-    # fit one scan chunk, which the calling thread evaluates alone.
+def _verify(*argv):
+    assert qcorr.cli.main(["verify", *argv]) in (0, 3)
+
+
+def _searches():
+    """Every kind of search, as (label, call): Bell-diagonal `verify` runs,
+    the LAQC and discord searches up to the largest grid, and a full-rank
+    relative-entropy search, whose bound leaves rows of many chunks alive."""
+    for steps in ("64", "65"):
+        for state in ("--werner=0.5", "--bd=0.7,-0.3,0.5"):
+            yield f"verify-{state[2:]}-{steps}", functools.partial(_verify, state, "--steps", steps)
+    rho = bell_diagonal_state((0.7, -0.3, 0.5))
+    standard = (QubitBasis.standard(), QubitBasis.standard())
+    for label, grid in (
+        ("64", GridSpec(64, 64, 64)),
+        ("128", GridSpec(128, 128, 128)),
+        ("128-odd-phi", GridSpec(128, 127, 127)),
+    ):
+        yield f"laqc-{label}", functools.partial(maximize_laqc, rho, standard, grid)
+        yield f"discord-{label}", functools.partial(brute_force_discord, rho, grid)
+    g = np.random.default_rng(0).normal(size=(4, 4, 2)) @ (1.0, 1j)
+    general = g @ g.conj().T
+    general /= np.trace(general).real
+    for steps in (64, 65):
+        yield (
+            f"relative-entropy-full-rank-{steps}",
+            functools.partial(minimize_relative_entropy_basis, general, GridSpec(steps, steps, 2)),
+        )
+
+
+@pytest.mark.parametrize("search", [pytest.param(call, id=label) for label, call in _searches()])
+def test_searches_start_no_thread(search, monkeypatch, capsys):
     started = []
     start = threading.Thread.start
 
@@ -141,13 +153,5 @@ def test_laqc_and_discord_searches_start_no_thread(grid, monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    rho = bell_diagonal_state((0.7, -0.3, 0.5))
-    maximize_laqc(rho, (QubitBasis.standard(), QubitBasis.standard()), grid)
-    brute_force_discord(rho, grid)
+    search()
     assert started == []
-    # The relative-entropy refinement window, 441 rows, starts a helper when
-    # its entropy bound leaves enough of it alive, as for this full-rank state.
-    g = np.random.default_rng(0).normal(size=(4, 4, 2)) @ (1.0, 1j)
-    general = g @ g.conj().T
-    minimize_relative_entropy_basis(general / np.trace(general).real, GridSpec(4, 4, 2))
-    assert len(started) == 1
