@@ -83,9 +83,13 @@ class ComplementaryAngles:
         _check_angle("phi_b", self.phi_b, _TWO_PI, closed=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitBasis:
-    """An orthonormal single-qubit basis (two complex 2-vectors)."""
+    """An orthonormal single-qubit basis (two complex 2-vectors).
+
+    Equality and hashing are by identity (eq=False): the fields are
+    arrays, which have no single truth value to compare by.
+    """
 
     ket0: np.ndarray
     ket1: np.ndarray
@@ -131,9 +135,13 @@ class QubitBasis:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """2x2 outcome table of a local projective measurement."""
+    """2x2 outcome table of a local projective measurement.
+
+    Equality and hashing are by identity (eq=False): the table is an
+    array, which has no single truth value to compare by.
+    """
 
     p: np.ndarray
 

@@ -14,6 +14,16 @@ always see the same channel and the same gamma:
 
     rho -> sum_{i,j} (E_i (x) E_j) rho (E_i (x) E_j)^dagger
 
+apply_product_channel evaluates that sum as one contraction (Nielsen &
+Chuang section 8.2). It builds the single-qubit superoperator
+
+    M[(a,a'),(c,c')] = sum_k E_k[a,c] conj(E_k[a',c'])
+
+once, realigns rho as R, with A's (row, column) index pair on the rows
+and B's on the columns, and applies M to both pairs as M R M^T: exact
+algebra, with no loop over the (i, j) pairs. Its input must be one valid
+4x4 density matrix, and its output is validated again.
+
 On Werner input the induced correlation-triple maps have closed forms
 (z -> z(1-gamma)^2 for depolarizing; (c1, c2) -> (1-gamma) z with c3 = z
 fixed for phase damping). Those maps are the primary computation path;
@@ -59,9 +69,13 @@ def _check_gamma(gamma: float) -> float:
     return float(_check_unit("interaction parameter gamma", gamma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A single-qubit channel as a finite list of 2x2 Kraus operators."""
+    """A single-qubit channel as a finite list of 2x2 Kraus operators.
+
+    Equality and hashing are by identity (eq=False): the operators are
+    arrays, which have no single truth value to compare by.
+    """
 
     operators: tuple[np.ndarray, ...]
     gamma: float
@@ -116,13 +130,19 @@ def phase_damping_kraus(gamma: float) -> KrausChannel:
 
 
 def apply_product_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """sum_{i,j} (E_i (x) E_j) rho (E_i (x) E_j)^dagger, validated."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for ei in ch.operators:
-        for ej in ch.operators:
-            k = np.kron(ei, ej)
-            out += k @ rho @ k.conj().T
+    """sum_{i,j} (E_i (x) E_j) rho (E_i (x) E_j)^dagger, validated, taken as
+    M R M^T with ch's superoperator M (see the module docstring).
+
+    rho must be one valid 4x4 density matrix: anything else raises
+    ValueError (InvalidStateError for a non-physical one).
+    """
+    rho = validate_density(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit state, got shape {rho.shape}")
+    ops = np.array(ch.operators)
+    m = np.einsum("kac,kwv->awcv", ops, ops.conj()).reshape(4, 4)
+    r = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    out = (m @ r @ m.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     return validate_density(out)
 
 

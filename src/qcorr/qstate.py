@@ -210,12 +210,15 @@ def as_bell_params(value) -> BellDiagonalParams:
     return BellDiagonalParams(*seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochParams:
     """Local Bloch vectors and 3x3 correlation matrix of a 2-qubit state.
 
     x[n] = Tr[rho (sigma_n (x) I)], y[n] = Tr[rho (I (x) sigma_n)],
     T[n, m] = Tr[rho (sigma_n (x) sigma_m)].
+
+    Equality and hashing are by identity (eq=False): the fields are
+    arrays, which have no single truth value to compare by.
     """
 
     x: np.ndarray

@@ -15,12 +15,49 @@ from qcorr.channels import (
     phase_damping_kraus,
 )
 from qcorr.correlations import correlation_entropy_function
-from qcorr.qstate import bell_diagonal_state, bloch_decompose, partial_trace, werner_state
+from qcorr.qstate import (
+    InvalidStateError,
+    bell_diagonal_state,
+    bloch_decompose,
+    partial_trace,
+    validate_density,
+    werner_state,
+)
 
 F_FIFTH = 0.029049405545331  # f(0.2)
 F_QUARTER = 0.045565997075035  # f(0.25)
 DISCORD_PHASE_DAMPED = 0.061278124459133
 ESD_GAMMA = 1.0 - 3.0 ** -0.5  # depolarizing threshold at z = 1
+
+
+def explicit_product_channel(rho, ch):
+    """The operator sum term by term: the reference for the contraction."""
+    out = np.zeros((4, 4), dtype=complex)
+    for ei in ch.operators:
+        for ej in ch.operators:
+            k = np.kron(ei, ej)
+            out += k @ rho @ k.conj().T
+    return out
+
+
+def amplitude_damping_kraus(gamma):
+    # Neither symmetric nor unital, unlike the two provided sets, so a
+    # transposed operator or a swapped index pair shows. The kind only
+    # labels the channel; apply_product_channel reads the operators alone.
+    e0 = np.diag([1.0, math.sqrt(1.0 - gamma)])
+    e1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+    return KrausChannel((e0, e1), gamma, PHASE_DAMPING)
+
+
+def random_full_rank_states(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        g = rng.normal(size=(4, 4, 2)) @ (1.0, 1j)
+        rho = g @ g.conj().T
+        yield validate_density(rho / np.trace(rho).real)
+
+
+FACTORIES = [depolarizing_kraus, phase_damping_kraus, amplitude_damping_kraus]
 
 
 class TestKrausSets:
@@ -102,6 +139,35 @@ class TestApplyProductChannel:
     def test_marginals_stay_maximally_mixed(self):
         out = apply_product_channel(werner_state(0.6), phase_damping_kraus(0.3))
         assert np.allclose(partial_trace(out, "A"), np.eye(2) / 2, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.77, 1.0])
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_contraction_equals_explicit_kraus_sum(self, factory, gamma):
+        ch = factory(gamma)
+        for rho in random_full_rank_states(11, 40):
+            out = apply_product_channel(rho, ch)
+            assert np.abs(out - explicit_product_channel(rho, ch)).max() <= 1e-15
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_marginal_of_output_is_channel_of_marginal(self, factory):
+        # Tr_B[(Phi (x) Phi)(rho)] = Phi(Tr_B rho), since Phi preserves trace.
+        ch = factory(0.42)
+        for rho in random_full_rank_states(12, 10):
+            marginal = partial_trace(rho, "A")
+            expected = sum(e @ marginal @ e.conj().T for e in ch.operators)
+            got = partial_trace(apply_product_channel(rho, ch), "A")
+            assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    def test_rejects_a_non_physical_input(self, gamma):
+        with pytest.raises(InvalidStateError, match="positivity"):
+            apply_product_channel(np.diag([1.5, -0.5, 0.0, 0.0]), depolarizing_kraus(gamma))
+
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.stack([np.eye(4) / 4] * 3)])
+    def test_rejects_anything_but_one_4x4_state(self, rho):
+        shape = str(rho.shape).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=f"4x4 two-qubit state, got shape {shape}"):
+            apply_product_channel(rho, phase_damping_kraus(0.5))
 
 
 class TestClosedFormMaps:

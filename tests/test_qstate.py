@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcorr import qstate
-from qcorr.channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory
+from qcorr.channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory, depolarizing_kraus
 from qcorr.correlations import full_report
 from qcorr.qstate import (
     BellDiagonalParams,
@@ -22,7 +22,7 @@ from qcorr.qstate import (
     werner_state,
     xlog2,
 )
-from qcorr.bases import QubitBasis, dephase_in_basis
+from qcorr.bases import JointDistribution, QubitBasis, dephase_in_basis
 
 # Frozen via direct eigenvalue arithmetic: eigenvalues (1+3z)/4 and 3x (1-z)/4.
 ENTROPY_WERNER_HALF = 1.548794940695398
@@ -371,3 +371,19 @@ class TestNonFiniteAndStacks:
     def test_xlog2_scalar_gives_float(self):
         assert isinstance(xlog2(0.5), float)
         assert xlog2(0.5) == -0.5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: depolarizing_kraus(0.3),
+        lambda: bloch_decompose(werner_state(0.5)),
+        QubitBasis.standard,
+        lambda: JointDistribution(np.full((2, 2), 0.25)),
+    ],
+    ids=["KrausChannel", "BlochParams", "QubitBasis", "JointDistribution"],
+)
+def test_array_holding_values_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2

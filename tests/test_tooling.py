@@ -67,6 +67,18 @@ def test_one_audit_cycle_passes_the_benchmark_checks(monkeypatch, tmp_path):
     assert [r for r in results if r[1]] == []
 
 
+def test_a_batch_of_kraus_ops_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # Seeded evolutions of both channel kinds, each held by the workload's own
+    # check to the analytically mapped triple (Bloch parameters within 1e-12)
+    # and to Wootters' concurrence.
+    _load_bench_module("reference", monkeypatch)
+    kraus = _load_bench_module("workloads", monkeypatch).Kraus(qcorr, tmp_path)
+    ops = list(itertools.islice(kraus.ops(np.random.default_rng(1)), 200))
+    assert {op.kind for op in ops} == set(kraus.KRAUS)
+    results = [(op.label, *kraus.check(op, kraus.run(op))) for op in ops]
+    assert [r for r in results if r[1]] == []
+
+
 def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monkeypatch, tmp_path):
     # The entropy bound leaves at most two rows of the 2048-row coarse table
     # and one row of a refinement window for every state of a cycle: the
