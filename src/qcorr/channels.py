@@ -27,14 +27,16 @@ algebra, with no loop over the (i, j) pairs. Its input must be one valid
 On Werner input the induced correlation-triple maps have closed forms
 (z -> z(1-gamma)^2 for depolarizing; (c1, c2) -> (1-gamma) z with c3 = z
 fixed for phase damping). Those maps are the primary computation path;
-the explicit Kraus route exists to verify them. They take z as a scalar
-or an array (triple fields of z's shape). gamma itself is the
-dissipation coordinate; no time parametrization is imposed.
+the explicit Kraus route exists to verify them. z and gamma may be
+scalars or arrays, broadcast against each other; every entry is bitwise
+equal to the scalar call's. gamma itself is the dissipation coordinate;
+no time parametrization is imposed.
 
 WERNER_MAPS is the one table of channel kinds: it maps each kind to its
 Werner map, KrausChannel checks kinds against it, and the CLI spells its
 --channel choices from it. Both the trajectory and the CLI's (z, gamma)
-table take their triples from one grid builder over that table.
+table take their triples from one grid builder over that table: one map
+call and one check, the trajectory's per-gamma triples sliced from it.
 """
 
 from __future__ import annotations
@@ -146,21 +148,22 @@ def apply_product_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     return validate_density(out)
 
 
-def depolarized_werner_params(z: float, gamma: float) -> BellDiagonalParams:
+def depolarized_werner_params(z, gamma) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided depolarizing."""
-    # A Python-float gamma keeps (1 - gamma) ** 2 on libm pow; numpy's array
-    # power computes x * x, which rounds differently, so grids map per gamma.
-    gamma = _check_gamma(gamma)
-    zp = _check_unit("werner parameter z", z) * (1.0 - gamma) ** 2
+    # (1 - gamma) ** 2 on Python floats keeps libm pow; numpy's array power
+    # computes x * x, which rounds differently.
+    gamma = _check_unit("interaction parameter gamma", gamma)
+    shrink = np.reshape([(1.0 - g) ** 2 for g in np.ravel(gamma).tolist()], np.shape(gamma))
+    zp = _check_unit("werner parameter z", z) * shrink
     return BellDiagonalParams(zp, -zp, zp)
 
 
-def phase_damped_werner_params(z: float, gamma: float) -> BellDiagonalParams:
+def phase_damped_werner_params(z, gamma) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided phase damping."""
-    gamma = _check_gamma(gamma)
+    gamma = _check_unit("interaction parameter gamma", gamma)
     z = _check_unit("werner parameter z", z)
     zp = (1.0 - gamma) * z
-    return BellDiagonalParams(zp, -zp, z)
+    return BellDiagonalParams(zp, -zp, np.broadcast_to(z, np.shape(zp))[()])
 
 
 WERNER_MAPS = {
@@ -169,15 +172,11 @@ WERNER_MAPS = {
 }
 
 
-def _werner_grid(kind: str, z, gammas: Iterable[float]) -> tuple[BellDiagonalParams, list]:
-    """Werner z's triples as one grid, fields of shape np.shape(z) + (len(gammas),),
-    and the list of the map's triples, one per gamma."""
+def _werner_grid(kind: str, z, gammas: Sequence[float]) -> BellDiagonalParams:
+    """Werner z's triples as one grid, fields of shape np.shape(z) + (len(gammas),)."""
     if kind not in WERNER_MAPS:
         raise ValueError(f"channel kind must be one of {tuple(WERNER_MAPS)}, got {kind!r}")
-    z = _check_unit("werner parameter z", z)  # an empty gammas makes no map call
-    by_gamma = [WERNER_MAPS[kind](z, gamma) for gamma in gammas]
-    c = np.reshape([p.as_tuple() for p in by_gamma], (len(by_gamma), 3, *np.shape(z)))
-    return BellDiagonalParams(*np.moveaxis(c, 0, -1)), by_gamma
+    return WERNER_MAPS[kind](np.asarray(z, dtype=float)[..., None], gammas)
 
 
 def correlation_trajectory(
@@ -187,6 +186,7 @@ def correlation_trajectory(
     if np.ndim(z) != 0:
         raise ValueError(f"trajectory takes one werner parameter z, got shape {np.shape(z)}")
     gammas = [float(gamma) for gamma in gammas]
-    params, triples = _werner_grid(kind, z, gammas)
+    params = _werner_grid(kind, z, gammas)
     rows = zip(*vars(full_report(params)).values())
-    return [TrajectoryPoint(g, p, CorrelationReport(*r)) for g, p, r in zip(gammas, triples, rows)]
+    points = zip(gammas, zip(*params.as_tuple()), rows)
+    return [TrajectoryPoint(g, BellDiagonalParams(*c), CorrelationReport(*r)) for g, c, r in points]

@@ -33,7 +33,7 @@ EXIT_GAP_EXCEEDED = 3
 
 VERIFY_GAP_TOL = 1e-4
 # sweep and channel evaluate their whole grid in one full_report call and
-# render every row in memory before writing.
+# render it in memory, one % template per row, before writing.
 _MAX_ROWS = 10**6
 
 SWEEP_COLUMNS = ("z", "classical", "laqc", "discord", "concurrence")
@@ -125,14 +125,18 @@ def cmd_report(args) -> int:
 
 
 def _write_table(args, columns, leading, params: BellDiagonalParams) -> int:
-    """Write the leading columns and params' quantifiers, one row per element in C order."""
+    """Write the leading columns and params' quantifiers, one row per element in C order,
+    each row rendered alone by one % template: _fmt's text per cell for CSV, and for JSON
+    the text of json.dumps(rows, indent=2), whose floats %r spells as json does."""
     rep = vars(full_report(params))
     table = np.column_stack([np.ravel(c) for c in (*leading, *map(rep.get, SWEEP_COLUMNS[1:]))])
     if args.format == "json":
-        text = json.dumps([dict(zip(columns, row)) for row in table.tolist()], indent=2)
-    else:  # row by row: no Python float object for every cell at once
-        lines = [",".join(map(_fmt, row.tolist())) for row in table]
-        text = "\n".join([",".join(columns), *lines])
+        cells = ",\n".join(f"    {json.dumps(name)}: %r" for name in columns)
+        head, row, sep, tail = "[\n", "  {\n" + cells + "\n  }", ",\n", "\n]"
+    else:
+        table += 0.0  # -0.0 prints as 0.000000, as _fmt has it
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(["%.6f"] * len(columns)), "\n", ""
+    text = head + sep.join([row % tuple(r.tolist()) for r in table]) + tail
     _emit(text + "\n", args.output)
     return EXIT_OK
 
@@ -155,7 +159,7 @@ def cmd_channel(args) -> int:
         raise CliError(f"--z-steps x --gamma-steps must be at most {_MAX_ROWS} rows")
     z = np.linspace(0.0, 1.0, args.z_steps)
     gammas = np.linspace(0.0, 1.0, args.gamma_steps)
-    params, _ = _werner_grid(args.channel.replace("-", "_"), z, gammas)
+    params = _werner_grid(args.channel.replace("-", "_"), z, gammas)
     leading = (*np.meshgrid(z, gammas, indexing="ij"), *params.as_tuple())
     return _write_table(args, CHANNEL_COLUMNS, leading, params)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from qcorr.channels import (
     DEPOLARIZING,
     PHASE_DAMPING,
+    WERNER_MAPS,
     KrausChannel,
     apply_product_channel,
     correlation_trajectory,
@@ -281,6 +283,54 @@ class TestWernerMapInputs:
         for i, zi in enumerate(z):
             single = param_map(float(zi), gamma).as_tuple()
             assert [c[i].tobytes() for c in batch] == [np.float64(c).tobytes() for c in single]
+
+    @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
+    @pytest.mark.parametrize("nz, ng", [(5, 42), (21, 21), (23, 107)])
+    def test_gamma_array_is_bitwise_equal_to_scalar_calls(self, kind, nz, ng):
+        z, gammas = np.linspace(0.0, 1.0, nz), np.linspace(0.0, 1.0, ng)
+        grid = WERNER_MAPS[kind](z[:, None], gammas).as_tuple()
+        for i, zi in enumerate(z):
+            for j, g in enumerate(gammas.tolist()):
+                single = WERNER_MAPS[kind](zi, g).as_tuple()
+                assert [c[i, j].tobytes() for c in grid] == [np.float64(c).tobytes() for c in single]
+
+    @pytest.mark.parametrize("ng", [42, 107])
+    def test_depolarizing_shrink_is_libm_pow_on_python_floats(self, ng):
+        # numpy's array power (and np.square) computes x * x, which rounds
+        # differently for one of the 42 gammas of the pinned 5x42 table.
+        z, gammas = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, ng)
+        c1 = depolarized_werner_params(z[:, None], gammas).c1
+        want = np.array([[zi * (1.0 - g) ** 2 for g in gammas.tolist()] for zi in z.tolist()])
+        assert c1.tobytes() == want.tobytes()
+        libm = np.array([(1.0 - g) ** 2 for g in gammas.tolist()])
+        assert np.square(1.0 - gammas).tobytes() != libm.tobytes()
+
+    def test_z_and_gamma_arrays_broadcast(self):
+        p = phase_damped_werner_params(np.array([[0.2], [0.9]]), np.array([0.0, 0.5, 1.0]))
+        assert [np.shape(c) for c in p.as_tuple()] == [(2, 3)] * 3
+        assert p.c3.tolist() == [[0.2] * 3, [0.9] * 3]
+        assert depolarized_werner_params(np.array([0.5, 1.0]), 0.5).c1.tolist() == [0.125, 0.25]
+
+    @pytest.mark.parametrize(
+        "kind, z, n, digest",
+        [
+            (DEPOLARIZING, 0.7, 37, "8bc4060edea491ddf14fc3704aca5eb35088893e28e497bbb68292310cf63bb4"),
+            (DEPOLARIZING, 0.65, 42, "c179c6c93a26bef1a597170eba0d19f2d33faa8890be0cae2aeae18b323cb247"),
+            (PHASE_DAMPING, 0.7, 37, "eb9c05ffd1ad235dd8f71ee05bc89c9d24a5f15cf8c16128ce37d8e9f7f00baf"),
+            (PHASE_DAMPING, 0.65, 42, "c6ba8b07490b62053cd1b1358c70d521a60e0e4baae377984c77198917c11e27"),
+        ],
+    )
+    def test_trajectory_reprs_are_unchanged(self, kind, z, n, digest):
+        # sha256 of the points' reprs, recorded when each point's triple was
+        # its own scalar map call; the points now slice one grid.
+        text = "\n".join(map(repr, correlation_trajectory(z, np.linspace(0.0, 1.0, n), kind)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])
+    def test_trajectory_triples_are_the_scalar_map_calls(self, kind):
+        gammas = np.linspace(0.0, 1.0, 37).tolist()
+        points = correlation_trajectory(0.7, gammas, kind)
+        assert [repr(p.params) for p in points] == [repr(WERNER_MAPS[kind](0.7, g)) for g in gammas]
 
     @pytest.mark.parametrize("z", [5.0, math.nan, -0.1])
     @pytest.mark.parametrize("kind", [DEPOLARIZING, PHASE_DAMPING])

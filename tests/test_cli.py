@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcorr.cli
 from qcorr.channels import WERNER_MAPS, correlation_trajectory
-from qcorr.cli import SWEEP_COLUMNS, build_parser, main
+from qcorr.cli import CHANNEL_COLUMNS, SWEEP_COLUMNS, _fmt, _write_table, build_parser, main
 from qcorr.correlations import full_report
 from qcorr.oracle import GridSpec
 from qcorr.qstate import BellDiagonalParams
@@ -246,6 +247,61 @@ class TestChannelTable:
             # repr keeps the sign of zero, which == would not compare.
             got = rows[i * gamma_steps : (i + 1) * gamma_steps]
             assert repr(got) == repr([{k: float(v) for k, v in w.items()} for w in want])
+
+
+def reference_csv(columns, table):
+    """The CSV text as one _fmt call per cell: the reference for the row templates."""
+    lines = [",".join(map(_fmt, row)) for row in table.tolist()]
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+def reference_json(columns, table):
+    """The JSON text as json.dumps of the row dicts: the reference for the row templates."""
+    return json.dumps([dict(zip(columns, row)) for row in table.tolist()], indent=2) + "\n"
+
+
+# -0.0, values that print as -0.000000 or round half at the 6th decimal,
+# integral floats, 1.0 and any other finite float.
+CELLS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 1e-7, -1e-7, 5e-7, -5e-7, 0.3799375, 1e300]),
+    st.integers(-(10**7), 10**7).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(-(10**6), 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRowTemplates:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        columns=st.sampled_from([SWEEP_COLUMNS, CHANNEL_COLUMNS]),
+        rows=st.integers(1, 12),
+        cells=st.lists(CELLS, min_size=108, max_size=108),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_text_is_byte_identical_to_the_per_cell_renderers(self, columns, rows, cells, fmt):
+        table = np.array(cells[: rows * len(columns)]).reshape(rows, len(columns))
+        lead = len(columns) - 4
+        report = argparse.Namespace(**dict(zip(SWEEP_COLUMNS[1:], table[:, lead:].T)))
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
+            patch.setattr(qcorr.cli, "full_report", lambda params: report)
+            args = argparse.Namespace(format=fmt, output="-")
+            assert _write_table(args, columns, table[:, :lead].T, None) == 0
+        reference = reference_json if fmt == "json" else reference_csv
+        assert out.getvalue() == reference(columns, table)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["depolarizing", "phase-damping"])
+    def test_channel_text_is_byte_identical_to_the_per_cell_renderers(self, capsys, fmt, kind):
+        argv = ["channel", "--channel", kind, "--z-steps=23", "--gamma-steps=42", f"--format={fmt}"]
+        _, out, _ = run(capsys, *argv)
+        z, gamma = np.meshgrid(np.linspace(0, 1, 23), np.linspace(0, 1, 42), indexing="ij")
+        params = qcorr.cli._werner_grid(kind.replace("-", "_"), np.linspace(0, 1, 23), gamma[0])
+        rep = full_report(params)
+        cells = (z, gamma, *params.as_tuple(), *(getattr(rep, k) for k in SWEEP_COLUMNS[1:]))
+        table = np.column_stack([np.ravel(c) for c in cells])
+        reference = reference_json if fmt == "json" else reference_csv
+        assert out == reference(CHANNEL_COLUMNS, table)
 
 
 class TestVerify:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import qcorr.correlations
 from qcorr.bases import JointDistribution
+from qcorr.channels import WERNER_MAPS, _werner_grid
 from qcorr.correlations import (
     CorrelationReport,
     classical_correlations_bd,
@@ -16,7 +18,7 @@ from qcorr.correlations import (
     laqc_bd,
     mutual_information,
 )
-from qcorr.qstate import bell_diagonal_state, werner_state
+from qcorr.qstate import SIGMA_Y, BellDiagonalParams, bell_diagonal_state, werner_state
 
 # Frozen via direct arithmetic on the closed forms (independent evaluation).
 F_HALF = 0.188721875540867
@@ -178,6 +180,121 @@ class TestConcurrence:
 
     def test_separable_werner(self):
         assert concurrence(werner_state(0.2)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (4, 2), (3, 4, 3), (2, 2, 2, 2)])
+    def test_rejects_anything_but_4x4_states(self, shape):
+        message = f"4x4 two-qubit states, got shape {shape}".replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=message):
+            concurrence(np.full(shape, 0.25))
+
+    def test_accepts_a_stack_and_an_empty_stack(self):
+        assert concurrence(np.broadcast_to(werner_state(1.0), (2, 3, 4, 4))).shape == (2, 3)
+        assert concurrence(np.empty((0, 4, 4))).shape == (0,)
+
+
+def matmul_flip_concurrence(rho):
+    """The spin flip as the two matmuls with sigma_y (x) sigma_y: the reference
+    for the signed permutation."""
+    sysy = np.kron(SIGMA_Y, SIGMA_Y)
+    rho = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    spec = np.linalg.eigvalsh(sqrt_rho @ (sysy @ rho.conj() @ sysy) @ sqrt_rho)
+    lam = np.sqrt(np.maximum(spec, 0.0))
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    return np.where(c > 0.0, c, 0.0)[()]
+
+
+def _triples_from_weights(lam):
+    """Correlation triples (rows) of Bell weights lam (rows over phi+, phi-, psi+, psi-)."""
+    l0, l1, l2, l3 = np.asarray(lam, dtype=float).T
+    return np.column_stack((l0 - l1 + l2 - l3, -l0 + l1 + l2 - l3, l0 + l1 - l2 - l3))
+
+
+def _random_full_rank_states(n, seed):
+    g = np.random.default_rng(seed).normal(size=(n, 4, 4, 2)) @ (1.0, 1j)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _bell_diagonal_stacks():
+    lam = np.random.default_rng(31).dirichlet(np.ones(4), 500)
+    yield bell_diagonal_state(BellDiagonalParams(*_triples_from_weights(lam).T))
+    z = np.linspace(0.0, 1.0, 21)
+    for kind in WERNER_MAPS:
+        yield bell_diagonal_state(_werner_grid(kind, z, z))
+    t = np.linspace(0.0, 1.0, 101)
+    yield bell_diagonal_state(BellDiagonalParams(t, -t, t))
+
+
+class TestSignedPermutationFlip:
+    @pytest.mark.parametrize("stack", [*_bell_diagonal_stacks(), _random_full_rank_states(2000, 5)])
+    def test_concurrence_is_bitwise_the_matmul_route(self, stack):
+        assert concurrence(stack).tobytes() == matmul_flip_concurrence(stack).tobytes()
+
+    def test_flip_equals_the_matmul_flip(self):
+        rho = _random_full_rank_states(200, 6)
+        sysy = np.kron(SIGMA_Y, SIGMA_Y)
+        flipped = rho.conj()[..., ::-1, ::-1] * qcorr.correlations._FLIP_SIGNS
+        assert np.array_equal(flipped, sysy @ rho.conj() @ sysy)
+
+
+@pytest.fixture
+def spin_flip_inputs(monkeypatch):
+    """Every matrix full_report hands to the spin-flip concurrence, in call order."""
+    seen = []
+    solve = qcorr.correlations.concurrence
+
+    def spy(rho):
+        seen.extend(rho)
+        return solve(rho)
+
+    monkeypatch.setattr(qcorr.correlations, "concurrence", spy)
+    return seen
+
+
+def _wootters_excess(states):
+    """2 lambda_max - 1 of each Bell-diagonal state, from its spectrum."""
+    return 2.0 * np.linalg.eigvalsh(np.array(states)).max(axis=-1) - 1.0
+
+
+class TestCertifiedZeroSkip:
+    MARGIN = qcorr.correlations._SEPARABLE_MARGIN
+
+    def test_margin_is_over_100_times_the_spin_flip_error(self):
+        # The largest |spin flip - (2 lambda_max - 1)| measured on 1.6 million
+        # triples was 1.7e-8, on rank-deficient ones; 1.8e-8 allows for more.
+        assert self.MARGIN >= 100 * 1.8e-8
+
+    @pytest.mark.parametrize("kind, live", [("depolarizing", 83), ("phase_damping", 198)])
+    def test_only_the_entangled_cells_of_the_default_grid_reach_the_spin_flip(
+        self, spin_flip_inputs, kind, live
+    ):
+        # 83 of the 441 depolarizing cells (358 certified zero, 81%) and 198 of
+        # the phase-damping ones, 3 of them exactly at threshold (z(3 - 2 gamma) = 1).
+        z = np.linspace(0.0, 1.0, 21)
+        rep = full_report(_werner_grid(kind, z, z))
+        assert len(spin_flip_inputs) == live
+        assert _wootters_excess(spin_flip_inputs).min() >= -1e-12
+        assert np.count_nonzero(rep.concurrence) <= live
+
+    def test_the_margin_band_reaches_the_spin_flip(self, spin_flip_inputs):
+        # Separable triples closer to the boundary than the margin are left to
+        # the spin flip, which returns its exact 0.0 for them.
+        delta = np.array([-0.9, -0.5, -0.1, -0.01]) * self.MARGIN
+        lam = np.column_stack((0.5 + delta / 2, 0.5 + delta / 2, -delta / 2, -delta / 2))
+        for weights in (lam, lam[:, [2, 3, 0, 1]], (lam + [0, -0.2, 0.1, 0.1])):
+            spin_flip_inputs.clear()
+            rep = full_report(BellDiagonalParams(*_triples_from_weights(weights).T))
+            assert len(spin_flip_inputs) == len(delta)
+            assert np.all(rep.concurrence == 0.0)
+
+    def test_separable_triples_beyond_the_margin_make_no_call(self, spin_flip_inputs):
+        lam = np.random.default_rng(3).dirichlet(np.ones(4), 300)
+        lam = lam[2.0 * lam.max(axis=1) - 1.0 < -self.MARGIN]
+        rep = full_report(BellDiagonalParams(*_triples_from_weights(lam).T))
+        assert spin_flip_inputs == [] and len(lam) > 100
+        assert rep.concurrence.tobytes() == np.zeros(len(lam)).tobytes()
 
 
 class TestFullReport:

@@ -253,6 +253,47 @@ def test_full_report_batch_across_blocks_is_bitwise_equal():
     _assert_batch_matches_per_triple([tuple(row) for row in c.tolist()])
 
 
+@st.composite
+def concurrence_triples(draw):
+    """A physical triple from one of five regions: separable (lambda_max < 1/2),
+    entangled, rank-deficient, within 1e-6 of the boundary, or the Werner threshold."""
+    region = draw(st.sampled_from(["separable", "entangled", "rank", "boundary", "threshold"]))
+    if region == "threshold":
+        return (1 / 3, -1 / 3, 1 / 3)
+    w = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    if region == "rank":
+        w[draw(st.integers(0, 2))] = 0.0
+    top = {
+        "separable": draw(st.floats(0.25, 0.5, exclude_min=True, exclude_max=True)),
+        "entangled": draw(st.floats(0.5, 1.0, exclude_min=True)),
+        "rank": draw(st.floats(0.25, 1.0)),
+        "boundary": 0.5 + draw(st.floats(-1e-6, 1e-6)),
+    }[region]
+    total = sum(w)
+    rest = [(1.0 - top) / 3] * 3 if total == 0.0 else [(1.0 - top) * v / total for v in w]
+    if region == "separable":  # every weight below 1/2: (1 - top) * 2/3 < 1/2
+        rest = [0.5 * v + (1.0 - top) / 6 for v in rest]
+    lam = [top, *rest]
+    k = draw(st.integers(0, 3))
+    lam[0], lam[k] = lam[k], lam[0]
+    lam = [v / sum(lam) for v in lam]
+    return (
+        lam[0] - lam[1] + lam[2] - lam[3],
+        -lam[0] + lam[1] + lam[2] - lam[3],
+        lam[0] + lam[1] - lam[2] - lam[3],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(concurrence_triples(), min_size=1, max_size=40))
+def test_full_report_concurrence_is_bitwise_the_per_triple_spin_flip(triples):
+    # The certified-zero skip is invisible: every entry is the per-triple
+    # spin flip, snapped to zero below 1e-14 as full_report snaps every field.
+    batch = full_report(BellDiagonalParams(*np.array(triples).T)).concurrence
+    single = [concurrence(bell_diagonal_state(t)) for t in triples]
+    assert batch.tobytes() == np.where(np.abs(single) < 1e-14, 0.0, single).tobytes()
+
+
 def test_full_report_keeps_grid_shape():
     c = np.linspace(0.0, 0.3, 15).reshape(3, 5)
     rep = full_report(BellDiagonalParams(c, -c, c))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qcorr.cli
 from qcorr import qstate
 from qcorr.channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory, depolarizing_kraus
 from qcorr.correlations import full_report
@@ -156,6 +157,12 @@ class TestOneCheckPerTriple:
     def test_trajectory_checks_one_triple_per_gamma_and_the_grid(self, checks, kind):
         correlation_trajectory(0.7, np.linspace(0.0, 1.0, 37), kind)
         assert checks == {"validate": 38, "validate_density": 0}
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "phase-damping"])
+    def test_channel_checks_its_grid_once(self, checks, kind, tmp_path):
+        argv = ["channel", "--channel", kind, "--output", str(tmp_path / "out.csv")]
+        assert qcorr.cli.main(argv) == 0
+        assert checks == {"validate": 1, "validate_density": 0}
 
     def test_bell_diagonal_state_validates_once(self, checks):
         bell_diagonal_state(BellDiagonalParams(0.3, -0.2, 0.1))

@@ -1,7 +1,7 @@
 """Guards for the benchmark: its tracer patches qcorr functions by name and
 keeps one span stack, so importing qcorr and running any search must start
-no thread, and its audit checks hold the oracles to independent closed
-forms."""
+no thread, and its workload checks (audit, grid, kraus) hold qcorr to
+independent closed forms."""
 
 import functools
 import importlib
@@ -77,6 +77,19 @@ def test_a_batch_of_kraus_ops_passes_the_benchmark_checks(monkeypatch, tmp_path)
     assert {op.kind for op in ops} == set(kraus.KRAUS)
     results = [(op.label, *kraus.check(op, kraus.run(op))) for op in ops]
     assert [r for r in results if r[1]] == []
+
+
+def test_a_batch_of_grid_ops_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # Two seeded cycles of channel tables (both kinds, 31x31 to 51x51) and
+    # sweeps (201 to 401 points), each written under tmp_path and held row by
+    # row by the workload's own check to the closed forms, Wootters' included.
+    _load_bench_module("reference", monkeypatch)
+    grid = _load_bench_module("workloads", monkeypatch).Grid(qcorr, tmp_path)
+    ops = list(itertools.islice(grid.ops(np.random.default_rng(1)), 8))
+    assert {op.kind for op in ops} == {"depolarizing", "phase-damping", "sweep"}
+    results = [(op.label, *grid.check(op, grid.run(op))) for op in ops]
+    assert [r for r in results if r[1]] == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monkeypatch, tmp_path):
