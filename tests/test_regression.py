@@ -5,7 +5,9 @@ The CSV files under tests/data/ were written by the default `sweep` and
 any change to the numeric path that moves a printed digit shows here.
 cli_text.json holds the stdout, stderr and exit code of `report` and
 `verify` runs, the exit-2 messages among them, captured before
-BellDiagonalParams checked itself when built.
+BellDiagonalParams checked itself when built. oracle_results.json holds
+the reprs of oracle results over seeded states, captured before the
+outcome tables formed their correlation term row by row.
 """
 
 import json
@@ -21,6 +23,7 @@ from qcorr.oracle import (
     TIE_TOL,
     GridSpec,
     _scan,
+    audit_closed_forms,
     brute_force_discord,
     maximize_laqc,
     minimize_relative_entropy_basis,
@@ -164,3 +167,35 @@ def test_cli_text_is_byte_identical(pinned, capsys):
     code = main(pinned["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (pinned["exit"], pinned["stdout"], pinned["stderr"])
+
+
+ORACLE_RESULTS = json.loads((DATA / "oracle_results.json").read_text())
+
+
+def _oracle_reprs(case):
+    """The reprs a pinned case holds: the audit of a triple, or the three
+    searches on a full-rank state (LAQC over the standard bases)."""
+    grid = GridSpec(case["steps"], case["steps"], case["steps"])
+    if "triple" in case:
+        return [repr(audit_closed_forms(tuple(case["triple"]), grid))]
+    rho = np.array(case["re"]) + 1j * np.array(case["im"])
+    standard = (QubitBasis.standard(), QubitBasis.standard())
+    return [
+        repr(minimize_relative_entropy_basis(rho, grid)),
+        repr(maximize_laqc(rho, standard, grid)),
+        repr(brute_force_discord(rho, grid)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ORACLE_RESULTS,
+    ids=[
+        f"{'triple' if 'triple' in c else 'full-rank'}-{i}-{c['steps']}"
+        for i, c in enumerate(ORACLE_RESULTS)
+    ],
+)
+def test_oracle_results_are_repr_identical(case):
+    # 24 seeded physical triples at 64 and 65 steps, and 4 seeded full-rank
+    # states at 64: a bit moved in any table can move a chosen angle.
+    assert _oracle_reprs(case) == case["reprs"]
