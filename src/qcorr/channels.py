@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .correlations import CorrelationReport, full_report
-from .qstate import PAULIS, BellDiagonalParams, _check_unit, validate_density
+from .qstate import PAULIS, BellDiagonalParams, _check_unit, _two_qubit, validate_density
 
 __all__ = [
     "KrausChannel",
@@ -65,10 +65,6 @@ COMPLETENESS_TOL = 1e-12
 
 DEPOLARIZING = "depolarizing"
 PHASE_DAMPING = "phase_damping"
-
-
-def _check_gamma(gamma: float) -> float:
-    return float(_check_unit("interaction parameter gamma", gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +88,8 @@ class KrausChannel:
             arr.flags.writeable = False
             ops.append(arr)
         object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        gamma = float(_check_unit("interaction parameter gamma", self.gamma))
+        object.__setattr__(self, "gamma", gamma)
         if self.kind not in tuple(WERNER_MAPS):  # a tuple: unhashable kinds are unknown too
             raise ValueError(f"unknown channel kind {self.kind!r}")
         defect = self.completeness_defect()
@@ -117,7 +114,7 @@ class TrajectoryPoint:
 
 def depolarizing_kraus(gamma: float) -> KrausChannel:
     """Depolarizing channel of strength gamma in [0, 1]."""
-    gamma = _check_gamma(gamma)
+    gamma = float(_check_unit("interaction parameter gamma", gamma))
     ops = [math.sqrt(1.0 - 0.75 * gamma) * np.eye(2, dtype=complex)]
     ops += [0.5 * math.sqrt(gamma) * s for s in PAULIS]
     return KrausChannel(tuple(ops), gamma, DEPOLARIZING)
@@ -125,7 +122,7 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
 
 def phase_damping_kraus(gamma: float) -> KrausChannel:
     """Phase damping channel of strength gamma in [0, 1]."""
-    gamma = _check_gamma(gamma)
+    gamma = float(_check_unit("interaction parameter gamma", gamma))
     e0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
     e1 = np.diag([0.0, math.sqrt(gamma)]).astype(complex)
     return KrausChannel((e0, e1), gamma, PHASE_DAMPING)
@@ -138,9 +135,7 @@ def apply_product_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     rho must be one valid 4x4 density matrix: anything else raises
     ValueError (InvalidStateError for a non-physical one).
     """
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected one 4x4 two-qubit state, got shape {rho.shape}")
+    rho = validate_density(_two_qubit(rho))
     ops = np.array(ch.operators)
     m = np.einsum("kac,kwv->awcv", ops, ops.conj()).reshape(4, 4)
     r = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

@@ -61,6 +61,8 @@ The LAQC search scans its whole grid.
 Every grid evaluator runs on the Bloch parametrization of projectors
 (p = (1/4)[1 + s a.x + t b.y + st a.T.b]), which is exact for any state;
 the two-sided outcome tables come from one kernel (:func:`_outcome_rows`).
+Each evaluator forms its table row by row, so a row has the same bits in
+whatever run of rows the scan fetches it.
 The value finally reported is recomputed at the winning angles through
 the explicit ket route, so the search path never fabricates the answer.
 Oracles compare against closed forms but never overwrite them:
@@ -208,13 +210,13 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
 
     The table has a row per point of the product of grids[:n_row_angles]
     and a column per point of the product of the rest. ``table(*grids)``
-    returns ``rows(lo, hi)``: rows lo..hi of one chunk, with the bits they
-    have in the whole chunk's block, and ``rows.bound``, if set, a lower
-    bound on each row's entries. Returns None, evaluating nothing, when the
-    bound puts every entry at or above ``below``. Only with ``stop_early``
-    may the value returned, the smallest entry evaluated, sit above the
-    minimum (by up to TIE_TOL). The chunks and their runs of live rows are
-    evaluated in turn on the calling thread.
+    returns ``rows(lo, hi)``: rows lo..hi, each with the bits it has in
+    any run, and ``rows.bound``, if set, a lower bound on each row's
+    entries. Returns None, evaluating nothing, when the bound puts every
+    entry at or above ``below``. Only with ``stop_early`` may the value
+    returned, the smallest entry evaluated, sit above the minimum (by up
+    to TIE_TOL). The chunks and their runs of live rows are evaluated in
+    turn on the calling thread.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
@@ -307,25 +309,16 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
     (-,+), (-,-). A caller that consumes each table before the next may
     pass one buffer four times. Every table is bitwise equal to
     0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right, with k
-    from the product over the whole chunk holding lo..hi (a product's
-    rounding may change with its row count), so any run of rows inside a
-    chunk has the bits it has in the chunk's tables. ``tables`` keeps the k
-    of the chunk it formed last.
+    formed row by row, so a row has the same bits in any run of rows.
     """
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
-    k_buf = np.empty((min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0]))
-    k_chunk = None  # the first row of the chunk k_buf holds, if any
 
     def tables(lo: int, hi: int, out):
-        nonlocal k_chunk
-        c0 = lo - lo % _CHUNK_ROWS
-        if k_chunk != c0:
-            c1 = min(c0 + _CHUNK_ROWS, axes_a.shape[0])
-            np.matmul(axes_a[c0:c1], tb, out=k_buf[: c1 - c0])
-            k_chunk = c0
-        k = k_buf[lo - c0 : hi - c0]
+        # einsum sums each entry's three products in order; a BLAS product's
+        # rounding may change with its row count.
+        k = np.einsum("ij,jk->ik", axes_a[lo:hi], tb)
         xa = xa_all[lo:hi, None]
         for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
             np.add(1.0 + s * xa, t * yb[None, :], out=p)
@@ -344,10 +337,10 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     Rows are basis angles on A, columns on B. Minimizing
     S(rho || dephase(rho, basis)) is minimizing this entropy since the
     dephasing shares rho's diagonal, making the relative entropy
-    S(dephased) - S(rho) with S(rho) fixed. The table of any run of rows is
-    bitwise equal to minus the sum of xlog2 over the four outcome tables;
-    the per-chunk buffers are allocated once per evaluator. ``rows.bound``
-    holds each row's entropy lower bound.
+    S(dephased) - S(rho) with S(rho) fixed. The table of any run of at most
+    _CHUNK_ROWS rows is bitwise equal to minus the sum of xlog2 over the
+    four outcome tables; its buffers are allocated once per evaluator.
+    ``rows.bound`` holds each row's entropy lower bound.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
     axes_b = _bloch_axes(theta_b, phi_b)
@@ -374,9 +367,8 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     return rows
 
 
-def _result(rho, angles, objective, closed_form) -> OracleResult:
-    """Pair the search outcome with closed_form(triple) if rho is Bell diagonal."""
-    bloch = bloch_decompose(rho)
+def _result(bloch: BlochParams, angles, objective, closed_form) -> OracleResult:
+    """Pair the search outcome with closed_form(triple) if the state is Bell diagonal."""
     if not bloch.is_bell_diagonal():
         return OracleResult(angles, objective, None, None)
     value = closed_form(bloch.diagonal_correlations())
@@ -393,13 +385,14 @@ def minimize_relative_entropy_basis(
     the closed form f(c_min) is checked against.
     """
     rho = validate_density(rho)
+    bloch = bloch_decompose(rho)
     thetas = _search_thetas(grid)
     phis = _phi_grid(grid.steps_phi)
     best = _grid_search(
         (thetas, phis, thetas, phis),
         (_THETA_BOUNDS, _PHI_BOUNDS) * 2,
         2,
-        functools.partial(_dephased_entropy_rows, bloch_decompose(rho)),
+        functools.partial(_dephased_entropy_rows, bloch),
         refine=grid.refine,
     )
     angles = LocalBasisAngles(
@@ -411,7 +404,7 @@ def minimize_relative_entropy_basis(
     mi = correlations.mutual_information(
         joint_projective_distribution(rho, *local_basis_pair(angles))
     )
-    return _result(rho, angles, mi, correlations.classical_correlations_bd)
+    return _result(bloch, angles, mi, correlations.classical_correlations_bd)
 
 
 def _laqc_rows(bloch: BlochParams, comp_a, comp_b, phi_a, phi_b):
@@ -442,13 +435,14 @@ def maximize_laqc(
     """Search (phi_a, phi_b) independently for maximal complementary-basis
     mutual information over the supplied computational bases."""
     rho = validate_density(rho)
+    bloch = bloch_decompose(rho)
     comp_a, comp_b = computational
     phis = _phi_grid(grid.steps_comp_phi)
     best = _grid_search(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, bloch_decompose(rho), comp_a, comp_b),
+        functools.partial(_laqc_rows, bloch, comp_a, comp_b),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -459,16 +453,17 @@ def maximize_laqc(
             complementary_qubit_basis(angles.phi_b, comp_b),
         )
     )
-    return _result(rho, angles, objective, correlations.laqc_bd)
+    return _result(bloch, angles, objective, correlations.laqc_bd)
 
 
 def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
     """sum_s p_s S(rho_B | s) for a measurement on A along each unit axis."""
-    xa = axes @ bloch.x
+    xa = np.einsum("ij,j->i", axes, bloch.x)
+    at = np.einsum("ij,jk->ik", axes, bloch.T)
     out = np.zeros(axes.shape[0])
     for s in (1.0, -1.0):
         p = 0.5 * (1.0 + s * xa)
-        w = bloch.y[None, :] + s * (axes @ bloch.T)
+        w = bloch.y[None, :] + s * at
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
         # binary entropy of the conditional state's eigenvalues
@@ -512,16 +507,17 @@ def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleR
     """Minimize I(rho) - [S(rho_B) - sum_i p_i S(rho_B|i)] over projective
     measurements on A parametrized by (theta_a, phi_a)."""
     rho = validate_density(rho)
+    bloch = bloch_decompose(rho)
     best = _grid_search(
         (_search_thetas(grid), _phi_grid(grid.steps_phi)),
         (_THETA_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_conditional_entropy_rows, bloch_decompose(rho)),
+        functools.partial(_conditional_entropy_rows, bloch),
         refine=grid.refine,
     )
     angles = LocalBasisAngles(_clamp_theta(best[0]), _wrap_phase(best[1]), 0.0, 0.0)
     objective = _measured_discord_at(rho, angles.theta_a, angles.phi_a)
-    return _result(rho, angles, objective, correlations.discord_bd)
+    return _result(bloch, angles, objective, correlations.discord_bd)
 
 
 def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:

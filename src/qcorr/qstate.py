@@ -100,6 +100,14 @@ def _check_unit(name: str, value):
     return value[()]
 
 
+def _two_qubit(rho) -> np.ndarray:
+    """rho as a complex array; anything but one 4x4 matrix raises ValueError."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit state, got shape {rho.shape}")
+    return rho
+
+
 def xlog2(p):
     """Elementwise p*log2(p), 0 wherever p is not positive (0*log2(0) = 0).
 
@@ -325,7 +333,7 @@ def bloch_decompose(rho: np.ndarray) -> BlochParams:
     # Each Pauli product has one nonzero entry per row, so every term of
     # the einsum is exact; the complex sum over i then rounds exactly like
     # Tr[rho (sigma_n (x) sigma_m)].
-    r = np.einsum("nmij,ji->nmi", _PAULI_PAIRS, np.asarray(rho, dtype=complex))
+    r = np.einsum("nmij,ji->nmi", _PAULI_PAIRS, _two_qubit(rho))
     r = r.sum(axis=-1).real
     return BlochParams(r[1:, 0], r[0, 1:], r[1:, 1:])
 
@@ -341,7 +349,7 @@ def bloch_compose(params: BlochParams) -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduced state of subsystem ``keep`` ('A' or 'B') of a 2-qubit state."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    r = _two_qubit(rho).reshape(2, 2, 2, 2)
     if keep == "A":
         return _readonly(np.einsum("abcb->ac", r))
     if keep == "B":
@@ -349,15 +357,13 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    # Spectrum-boundary rounding: [-PSD_TOL, 0) counts as 0.
-    return np.where((w < 0.0) & (w >= -PSD_TOL), 0.0, w)
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda log2 lambda over the spectrum, in bits."""
-    return float(-xlog2(_clamped_spectrum(rho)).sum())
+    """-sum lambda log2 lambda over the spectrum, in bits. Eigenvalues in
+    [-PSD_TOL, 0) count as 0; one below that raises InvalidStateError."""
+    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    if w.min(initial=0.0) < -PSD_TOL:
+        raise InvalidStateError([Violation("positivity", -float(w.min()))])
+    return float(-xlog2(w).sum())
 
 
 def relative_entropy(rho: np.ndarray, chi: np.ndarray, support_tol: float = 1e-12) -> float:

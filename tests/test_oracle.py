@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorr import oracle
 from qcorr.bases import (
     QubitBasis,
     complementary_qubit_basis,
@@ -189,6 +190,19 @@ class TestAudit:
         assert audit.classical.gap > 0.3  # the selection-rule gap, recorded
         assert abs(audit.laqc.gap) <= 1e-8
         assert abs(audit.discord.gap) <= 1e-4
+
+    def test_each_oracle_decomposes_its_state_once(self, monkeypatch):
+        # The closed form is read off the Bloch parameters the search used.
+        calls = []
+
+        def counting(rho):
+            calls.append(1)
+            return bloch_decompose(rho)
+
+        monkeypatch.setattr(oracle, "bloch_decompose", counting)
+        audit = audit_closed_forms((0.7, -0.3, 0.5), SMALL)
+        assert len(calls) == 3
+        assert audit.classical.closed_form is not None
 
     def test_exchange_symmetry_of_inputs(self):
         # Bell-diagonal states are exchange symmetric, so swapping the

@@ -231,6 +231,21 @@ class TestBloch:
         assert abs(violation.magnitude - 0.5) < 1e-12
 
 
+NOT_ONE_4X4 = [np.eye(2) / 2, np.stack([I4] * 3), np.full(16, 0.0625), np.eye(3) / 3]
+
+
+@pytest.mark.parametrize("rho", NOT_ONE_4X4, ids=["2x2", "stack", "flat", "3x3"])
+@pytest.mark.parametrize(
+    "fn",
+    [bloch_decompose, lambda rho: partial_trace(rho, "A")],
+    ids=["bloch_decompose", "partial_trace"],
+)
+def test_rejects_anything_but_one_4x4_matrix(fn, rho):
+    shape = str(rho.shape).replace("(", r"\(").replace(")", r"\)")
+    with pytest.raises(ValueError, match=f"expected one 4x4 two-qubit state, got shape {shape}"):
+        fn(rho)
+
+
 class TestPartialTrace:
     @pytest.mark.parametrize("z", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("keep", ["A", "B"])
@@ -272,6 +287,19 @@ class TestEntropy:
         lam = BellDiagonalParams(*params).bell_eigenvalues()
         expected = -xlog2(lam).sum()
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "spectrum", [(1.5, -0.5, 0.0, 0.0), (0.5, 0.5 + 2e-9, -2e-9)], ids=["4x4", "3x3"]
+    )
+    def test_rejects_a_negative_eigenvalue(self, spectrum):
+        # diag(1.5, -0.5, 0, 0) read -0.877 bits before the check.
+        with pytest.raises(InvalidStateError, match="positivity violated"):
+            von_neumann_entropy(np.diag(spectrum))
+
+    def test_counts_rounding_below_zero_as_zero(self):
+        clamped = von_neumann_entropy(np.diag([0.5, 0.5 + 1e-10, 0.0, 0.0]))
+        assert von_neumann_entropy(np.diag([0.5, 0.5 + 1e-10, -1e-10, 0.0])) == clamped
 
 
 class TestRelativeEntropy:

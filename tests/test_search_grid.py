@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr import oracle
+from qcorr.bases import QubitBasis, local_qubit_basis
 from qcorr.cli import main
 from qcorr.oracle import (
     _BOUND_SLACK,
@@ -28,8 +29,10 @@ from qcorr.oracle import (
     TIE_TOL,
     GridSpec,
     _bloch_axes,
+    _conditional_entropy_rows,
     _dephased_entropy_rows,
     _grid_search,
+    _laqc_rows,
     _phi_grid,
     _scan,
     _search_thetas,
@@ -380,15 +383,16 @@ def test_searches_scan_half_theta_grid_when_phi_steps_even(grid, rows, monkeypat
     ]
 
 
-def _parent_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b):
-    """The row evaluator as it was before its buffers were reused: the reference."""
+def _reference_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b, product):
+    """The row evaluator with fresh arrays per run: the reference. ``product``
+    forms the correlation term k of the rows from axes_a[lo:hi] and T b."""
     axes_a, axes_b = _bloch_axes(theta_a, phi_a), _bloch_axes(theta_b, phi_b)
     xa_all = axes_a @ bloch.x
     yb = axes_b @ bloch.y
     tb = bloch.T @ axes_b.T
 
     def rows(lo, hi):
-        k = axes_a[lo:hi] @ tb
+        k = product(axes_a[lo:hi], tb)
         xa = xa_all[lo:hi, None]
         h = np.zeros((hi - lo, axes_b.shape[0]))
         for s in (1.0, -1.0):
@@ -401,6 +405,8 @@ def _parent_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b):
     return rows
 
 
+ROW_LOCAL_PRODUCT = functools.partial(np.einsum, "ij,jk->ik")
+
 @pytest.mark.parametrize(
     "thetas, phis",
     [
@@ -412,26 +418,55 @@ def _parent_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b):
     ids=["16", "17", "64", "window"],
 )
 def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
-    # The scan also evaluates single rows and runs of rows inside a chunk,
-    # and each must carry the bits those rows have in the whole chunk's
-    # table: every row after its chunk, and random runs from a second
-    # evaluator, the first run of each chunk before it has seen the chunk.
+    # Reusing the buffers must not move a bit: every chunk, and random runs
+    # inside it from a second evaluator, match the fresh-array reference
+    # whose k comes from the same row-local product. A k from one BLAS
+    # product per chunk, an independent route, rounds a few ulps apart.
     rng = np.random.default_rng(3)
     n_rows = thetas.size * phis.size
     for rho in STATES[:6] + STATES[-6:]:
         bloch = bloch_decompose(rho)
         grids = (thetas, phis, thetas, phis)
         rows, other = (_dephased_entropy_rows(bloch, *grids) for _ in range(2))
-        reference = _parent_dephased_entropy_rows(bloch, *grids)
+        reference = _reference_dephased_entropy_rows(bloch, *grids, ROW_LOCAL_PRODUCT)
+        matmul_reference = _reference_dephased_entropy_rows(bloch, *grids, np.matmul)
         for lo in range(0, n_rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n_rows)
             block = rows(lo, hi)
             assert block.tobytes() == reference(lo, hi).tobytes(), (lo, hi)
-            for row in range(lo, hi):
-                assert rows(row, row + 1).tobytes() == block[row - lo].tobytes(), row
+            assert np.abs(block - matmul_reference(lo, hi)).max() <= 1e-14, (lo, hi)
             for _ in range(2):
                 a, b = sorted(rng.choice(hi - lo + 1, 2, replace=False) + lo)
                 assert other(a, b).tobytes() == block[a - lo : b - lo].tobytes(), (a, b)
+
+
+def _row_evaluators(bloch):
+    """(name, evaluator, row count) of each oracle's row evaluator on grids
+    of more than two chunks of rows."""
+    thetas, phis = _theta_grid(17), _phi_grid(17)
+    comp = (QubitBasis.standard(), local_qubit_basis(0.9, 1.3))
+    laqc_phis = np.linspace(0.0, 6.0, 300)
+    return [
+        ("dephased", _dephased_entropy_rows(bloch, thetas, phis, thetas, phis), 17 * 17),
+        ("laqc", _laqc_rows(bloch, *comp, laqc_phis, _phi_grid(17)), laqc_phis.size),
+        ("discord", _conditional_entropy_rows(bloch, np.linspace(0.0, 3.0, 300), phis), 300),
+    ]
+
+
+def test_any_run_of_rows_equals_its_single_rows():
+    # The scan fetches single rows, short runs and whole chunks; each row
+    # must carry the same bits in all of them, across chunk boundaries too.
+    # The dephased evaluator's buffers hold runs of up to _CHUNK_ROWS rows.
+    rng = np.random.default_rng(5)
+    for rho in STATES[:4] + STATES[-4:]:
+        for name, rows, n_rows in _row_evaluators(bloch_decompose(rho)):
+            single = np.concatenate([rows(i, i + 1) for i in range(n_rows)])
+            crossing = [(c - 1, c + 1) for c in range(_CHUNK_ROWS, n_rows, _CHUNK_ROWS)]
+            crossing += [(c - 60, c + 68) for c in range(_CHUNK_ROWS, n_rows - 68, _CHUNK_ROWS)]
+            starts = rng.integers(0, n_rows - 1, size=8)
+            runs = crossing + [(a, min(n_rows, a + rng.integers(1, _CHUNK_ROWS + 1))) for a in starts]
+            for lo, hi in runs:
+                assert rows(lo, hi).tobytes() == single[lo:hi].tobytes(), (name, lo, hi)
 
 
 VERIFY_64 = json.loads((DATA / "cli_verify_64.json").read_text())
