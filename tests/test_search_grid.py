@@ -407,6 +407,7 @@ def _reference_dephased_entropy_rows(bloch, theta_a, phi_a, theta_b, phi_b, prod
 
 ROW_LOCAL_PRODUCT = functools.partial(np.einsum, "ij,jk->ik")
 
+
 @pytest.mark.parametrize(
     "thetas, phis",
     [
@@ -464,7 +465,8 @@ def test_any_run_of_rows_equals_its_single_rows():
             crossing = [(c - 1, c + 1) for c in range(_CHUNK_ROWS, n_rows, _CHUNK_ROWS)]
             crossing += [(c - 60, c + 68) for c in range(_CHUNK_ROWS, n_rows - 68, _CHUNK_ROWS)]
             starts = rng.integers(0, n_rows - 1, size=8)
-            runs = crossing + [(a, min(n_rows, a + rng.integers(1, _CHUNK_ROWS + 1))) for a in starts]
+            ends = np.minimum(n_rows, starts + rng.integers(1, _CHUNK_ROWS + 1, size=8))
+            runs = crossing + list(zip(starts, ends))
             for lo, hi in runs:
                 assert rows(lo, hi).tobytes() == single[lo:hi].tobytes(), (name, lo, hi)
 
