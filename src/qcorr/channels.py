@@ -67,6 +67,10 @@ DEPOLARIZING = "depolarizing"
 PHASE_DAMPING = "phase_damping"
 
 
+def _check_gamma(gamma):
+    return _check_unit("interaction parameter gamma", gamma)
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A single-qubit channel as a finite list of 2x2 Kraus operators.
@@ -88,8 +92,7 @@ class KrausChannel:
             arr.flags.writeable = False
             ops.append(arr)
         object.__setattr__(self, "operators", tuple(ops))
-        gamma = float(_check_unit("interaction parameter gamma", self.gamma))
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", float(_check_gamma(self.gamma)))
         if self.kind not in tuple(WERNER_MAPS):  # a tuple: unhashable kinds are unknown too
             raise ValueError(f"unknown channel kind {self.kind!r}")
         defect = self.completeness_defect()
@@ -114,7 +117,7 @@ class TrajectoryPoint:
 
 def depolarizing_kraus(gamma: float) -> KrausChannel:
     """Depolarizing channel of strength gamma in [0, 1]."""
-    gamma = float(_check_unit("interaction parameter gamma", gamma))
+    gamma = float(_check_gamma(gamma))
     ops = [math.sqrt(1.0 - 0.75 * gamma) * np.eye(2, dtype=complex)]
     ops += [0.5 * math.sqrt(gamma) * s for s in PAULIS]
     return KrausChannel(tuple(ops), gamma, DEPOLARIZING)
@@ -122,7 +125,7 @@ def depolarizing_kraus(gamma: float) -> KrausChannel:
 
 def phase_damping_kraus(gamma: float) -> KrausChannel:
     """Phase damping channel of strength gamma in [0, 1]."""
-    gamma = float(_check_unit("interaction parameter gamma", gamma))
+    gamma = float(_check_gamma(gamma))
     e0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
     e1 = np.diag([0.0, math.sqrt(gamma)]).astype(complex)
     return KrausChannel((e0, e1), gamma, PHASE_DAMPING)
@@ -147,7 +150,7 @@ def depolarized_werner_params(z, gamma) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided depolarizing."""
     # (1 - gamma) ** 2 on Python floats keeps libm pow; numpy's array power
     # computes x * x, which rounds differently.
-    gamma = _check_unit("interaction parameter gamma", gamma)
+    gamma = _check_gamma(gamma)
     shrink = np.reshape([(1.0 - g) ** 2 for g in np.ravel(gamma).tolist()], np.shape(gamma))
     zp = _check_unit("werner parameter z", z) * shrink
     return BellDiagonalParams(zp, -zp, zp)
@@ -155,7 +158,7 @@ def depolarized_werner_params(z, gamma) -> BellDiagonalParams:
 
 def phase_damped_werner_params(z, gamma) -> BellDiagonalParams:
     """Closed-form triple of a Werner state after two-sided phase damping."""
-    gamma = _check_unit("interaction parameter gamma", gamma)
+    gamma = _check_gamma(gamma)
     z = _check_unit("werner parameter z", z)
     zp = (1.0 - gamma) * z
     return BellDiagonalParams(zp, -zp, np.broadcast_to(z, np.shape(zp))[()])

@@ -96,7 +96,6 @@ from .qstate import (
     bloch_decompose,
     partial_trace,
     validate_density,
-    von_neumann_entropy,
     xlog2,
 )
 
@@ -484,23 +483,26 @@ def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
     return rows
 
 
+def _entropy(rho: np.ndarray) -> float:
+    # von_neumann_entropy without its spectrum check, for states derived from
+    # a validated rho: a partial trace adds two blocks' rounding below 0, and
+    # dividing by an outcome weight scales it, past -PSD_TOL.
+    return float(-xlog2(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))).sum())
+
+
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
     """Discord objective at one measurement basis via explicit projectors."""
     rho_a = partial_trace(rho, "A")
     rho_b = partial_trace(rho, "B")
-    total = (
-        von_neumann_entropy(rho_a)
-        + von_neumann_entropy(rho_b)
-        - von_neumann_entropy(rho)
-    )
+    total = _entropy(rho_a) + _entropy(rho_b) - _entropy(rho)
     cond = 0.0
     for ket in local_qubit_basis(theta, phi).kets:
         proj = np.kron(np.outer(ket, ket.conj()), np.eye(2))
         weight = float(np.trace(proj @ rho).real)
         if weight > 1e-14:
             tau = partial_trace(proj @ rho @ proj, "B") / weight
-            cond += weight * von_neumann_entropy(tau)
-    return total - (von_neumann_entropy(rho_b) - cond)
+            cond += weight * _entropy(tau)
+    return total - (_entropy(rho_b) - cond)
 
 
 def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleResult:

@@ -235,3 +235,10 @@ class TestAudit:
 def test_oracles_reject_a_matrix_that_is_not_a_density(search, rho, message):
     with pytest.raises(ValueError, match=message):
         search(rho, SMALL)
+
+
+def test_discord_accepts_a_state_at_the_positivity_tolerance():
+    # rho passes validate_density, but rho_A = diag(-1.8e-9, 1 + 1.8e-9)
+    # sums two of its negative eigenvalues past -PSD_TOL.
+    rho = np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]).astype(complex)
+    assert brute_force_discord(rho, SMALL).objective == pytest.approx(0.0, abs=1e-7)

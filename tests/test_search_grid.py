@@ -423,6 +423,7 @@ def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
     # inside it from a second evaluator, match the fresh-array reference
     # whose k comes from the same row-local product. A k from one BLAS
     # product per chunk, an independent route, rounds a few ulps apart.
+    # Each single row, as the scan re-fetches it, carries its chunk's bits.
     rng = np.random.default_rng(3)
     n_rows = thetas.size * phis.size
     for rho in STATES[:6] + STATES[-6:]:
@@ -436,6 +437,8 @@ def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
             block = rows(lo, hi)
             assert block.tobytes() == reference(lo, hi).tobytes(), (lo, hi)
             assert np.abs(block - matmul_reference(lo, hi)).max() <= 1e-14, (lo, hi)
+            for row in range(lo, hi):
+                assert rows(row, row + 1).tobytes() == block[row - lo].tobytes(), row
             for _ in range(2):
                 a, b = sorted(rng.choice(hi - lo + 1, 2, replace=False) + lo)
                 assert other(a, b).tobytes() == block[a - lo : b - lo].tobytes(), (a, b)
