@@ -12,6 +12,7 @@ and the file gets the mode open(path, "w") would give it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -222,7 +223,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Correlation quantifiers for 2-qubit Bell-diagonal states",
@@ -232,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="print every quantifier for one state")
     _add_state_flags(report)
     report.add_argument("--format", choices=("text", "json"), default="text")
-    report.set_defaults(func=cmd_report)
 
     sweep = sub.add_parser("sweep", help="quantifiers along a parameter ray")
     sweep.add_argument(
@@ -242,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--z-steps", type=int, default=101, metavar="N", help="grid points in [0, 1]")
     _add_output_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep)
 
     channel = sub.add_parser("channel", help="werner quantifiers under decoherence")
     kinds = tuple(kind.replace("_", "-") for kind in WERNER_MAPS)
@@ -250,14 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--z-steps", type=int, default=21, metavar="N")
     channel.add_argument("--gamma-steps", type=int, default=21, metavar="N")
     _add_output_flags(channel)
-    channel.set_defaults(func=cmd_channel)
 
     verify = sub.add_parser("verify", help="closed forms vs brute-force oracles")
     _add_state_flags(verify)
     verify.add_argument(
         "--steps", type=int, default=64, metavar="N", help="grid points per angle"
     )
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -265,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # Looked up per call: a cmd_* rebound after the parser was built still runs.
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

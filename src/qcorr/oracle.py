@@ -197,11 +197,23 @@ def _search_thetas(grid: GridSpec) -> np.ndarray:
 
 
 def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Bloch axes of all (theta, phi) pairs in lexicographic order."""
+    """Bloch axes of all (theta, phi) pairs in lexicographic order, read-only.
+
+    Cached by the grids' bytes: both sides of the relative-entropy search and
+    the discord search scan the same coarse axes.
+    """
+    return _bloch_axes_of(np.asarray(thetas, float).tobytes(), np.asarray(phis, float).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _bloch_axes_of(theta_bytes: bytes, phi_bytes: bytes) -> np.ndarray:
+    thetas, phis = np.frombuffer(theta_bytes), np.frombuffer(phi_bytes)
     tt = np.repeat(thetas, phis.size)
     pp = np.tile(phis, thetas.size)
     st = np.sin(tt)
-    return np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
+    axes = np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
+    axes.flags.writeable = False
+    return axes
 
 
 def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
@@ -406,17 +418,22 @@ def minimize_relative_entropy_basis(
     return _result(bloch, angles, mi, correlations.classical_correlations_bd)
 
 
-def _laqc_rows(bloch: BlochParams, comp_a, comp_b, phi_a, phi_b):
-    """Row evaluator of minus the mutual information of every (phi_a, phi_b)
-    complementary-basis pair over the computational bases comp_*."""
+def _laqc_plane(computational: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(e1, e2): the Bloch axes of the complementary basis at phi = 0 and
+    pi/2, which span the plane its axis turns in as phi moves."""
+    return tuple(complementary_qubit_basis(p, computational).axis() for p in (0.0, math.pi / 2))
 
-    def axes(phis, computational):
-        # The Bloch axis of the complementary basis turns with phi in the
-        # plane spanned by its axes at phi = 0 and pi/2.
-        e1, e2 = (complementary_qubit_basis(p, computational).axis() for p in (0.0, math.pi / 2))
+
+def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
+    """Row evaluator of minus the mutual information of every (phi_a, phi_b)
+    complementary-basis pair, the axes turning in the planes (e1, e2) of
+    :func:`_laqc_plane`."""
+
+    def axes(phis, plane):
+        e1, e2 = plane
         return np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2
 
-    tables = _outcome_rows(bloch, axes(phi_a, comp_a), axes(phi_b, comp_b))
+    tables = _outcome_rows(bloch, axes(phi_a, plane_a), axes(phi_b, plane_b))
 
     def rows(lo: int, hi: int) -> np.ndarray:
         pp, pm, mp, mm = tables(lo, hi, np.empty((4, hi - lo, phi_b.size)))
@@ -441,7 +458,7 @@ def maximize_laqc(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, bloch, comp_a, comp_b),
+        functools.partial(_laqc_rows, bloch, _laqc_plane(comp_a), _laqc_plane(comp_b)),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -492,9 +509,8 @@ def _entropy(rho: np.ndarray) -> float:
 
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
     """Discord objective at one measurement basis via explicit projectors."""
-    rho_a = partial_trace(rho, "A")
-    rho_b = partial_trace(rho, "B")
-    total = _entropy(rho_a) + _entropy(rho_b) - _entropy(rho)
+    s_b = _entropy(partial_trace(rho, "B"))  # it cancels, but dropping it moves bits
+    total = _entropy(partial_trace(rho, "A")) + s_b - _entropy(rho)
     cond = 0.0
     for ket in local_qubit_basis(theta, phi).kets:
         proj = np.kron(np.outer(ket, ket.conj()), np.eye(2))
@@ -502,7 +518,7 @@ def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
         if weight > 1e-14:
             tau = partial_trace(proj @ rho @ proj, "B") / weight
             cond += weight * _entropy(tau)
-    return total - (_entropy(rho_b) - cond)
+    return total - (s_b - cond)
 
 
 def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleResult:

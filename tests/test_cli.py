@@ -207,6 +207,63 @@ class TestChannel:
         assert exc.value.code == 2
 
 
+class TestSharedParser:
+    """main parses with one parser per process and finds the command by name per call."""
+
+    COMMANDS = [
+        ["report", "--werner", "0.5"],
+        ["report", "--bd=0.3,-0.2,0.1", "--format", "json"],
+        ["sweep", "--z-steps", "3"],
+        ["channel", "--channel", "phase-damping", "--z-steps=3", "--gamma-steps=2", "--format=json"],
+        ["verify", "--werner", "0.5", "--steps", "8"],
+        ["verify", "--bd=0.7,-0.3,0.5", "--steps", "8"],
+        ["report", "--bd", "1,1,1"],
+        ["verify", "--werner", "0.5", "--steps", "1"],
+    ]
+    REJECTED = ["verify", "--werner", "0.5", "--bd=0,0,0"]  # argparse exits 2
+
+    def outcomes(self, capsys):
+        results = []
+        for argv in self.COMMANDS:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.REJECTED)
+        return exc.value.code, capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_are_byte_identical(self, capsys, monkeypatch):
+        # The reference builds a parser per call, as main did before it shared one.
+        with monkeypatch.context() as patch:
+            patch.setattr(qcorr.cli, "build_parser", build_parser.__wrapped__)
+            fresh, fresh_rejected = self.outcomes(capsys), self.rejected(capsys)
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 3, 2, 2]
+        assert fresh_rejected[0] == 2 and "not allowed with argument" in fresh_rejected[1]
+        first = self.outcomes(capsys)
+        assert self.rejected(capsys) == fresh_rejected
+        assert self.outcomes(capsys) == first == fresh
+        assert self.rejected(capsys) == fresh_rejected
+
+    def test_a_command_rebound_after_the_parser_is_built_is_called(self, capsys, monkeypatch):
+        assert main(["verify", "--werner", "0.5", "--steps", "4"]) == 0
+        seen = []
+
+        def stub(args):
+            seen.append((args.command, args.werner, args.steps))
+            return 7
+
+        monkeypatch.setattr(qcorr.cli, "cmd_verify", stub)
+        assert main(["verify", "--werner", "0.25"]) == 7
+        assert seen == [("verify", 0.25, 64)]
+        assert main(["report", "--werner", "0.5"]) == 0
+
+
 def _channel_choices():
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -21,6 +21,7 @@ from qcorr.correlations import (
 )
 from qcorr.oracle import (
     GridSpec,
+    _laqc_plane,
     _laqc_rows,
     audit_closed_forms,
     brute_force_discord,
@@ -146,7 +147,7 @@ def test_laqc_table_matches_ket_route(pair):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     phis = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    table = _laqc_rows(bloch_decompose(rho), *pair, phis, phis)(0, phis.size)
+    table = _laqc_rows(bloch_decompose(rho), *map(_laqc_plane, pair), phis, phis)(0, phis.size)
     assert table.shape == (8, 8)
     for i, phi_a in enumerate(phis):
         for j, phi_b in enumerate(phis):
@@ -242,3 +243,19 @@ def test_discord_accepts_a_state_at_the_positivity_tolerance():
     # sums two of its negative eigenvalues past -PSD_TOL.
     rho = np.diag([-0.9e-9, -0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9]).astype(complex)
     assert brute_force_discord(rho, SMALL).objective == pytest.approx(0.0, abs=1e-7)
+
+
+def test_discord_objective_solves_five_entropies(monkeypatch):
+    # S(rho_A), S(rho_B) and S(rho), then one per outcome of the measurement
+    # on A: S(rho_B) is solved once and used in both places it appears.
+    calls = []
+    entropy = oracle._entropy
+
+    def counting(rho):
+        calls.append(1)
+        return entropy(rho)
+
+    monkeypatch.setattr(oracle, "_entropy", counting)
+    value = oracle._measured_discord_at(bell_diagonal_state((0.7, -0.3, 0.5)), 0.4, 1.1)
+    assert len(calls) == 5
+    assert value > 0.0

@@ -32,6 +32,7 @@ from qcorr.oracle import (
     _conditional_entropy_rows,
     _dephased_entropy_rows,
     _grid_search,
+    _laqc_plane,
     _laqc_rows,
     _phi_grid,
     _scan,
@@ -452,7 +453,7 @@ def _row_evaluators(bloch):
     laqc_phis = np.linspace(0.0, 6.0, 300)
     return [
         ("dephased", _dephased_entropy_rows(bloch, thetas, phis, thetas, phis), 17 * 17),
-        ("laqc", _laqc_rows(bloch, *comp, laqc_phis, _phi_grid(17)), laqc_phis.size),
+        ("laqc", _laqc_rows(bloch, *map(_laqc_plane, comp), laqc_phis, _phi_grid(17)), laqc_phis.size),
         ("discord", _conditional_entropy_rows(bloch, np.linspace(0.0, 3.0, 300), phis), 300),
     ]
 
@@ -472,6 +473,40 @@ def test_any_run_of_rows_equals_its_single_rows():
             runs = crossing + list(zip(starts, ends))
             for lo, hi in runs:
                 assert rows(lo, hi).tobytes() == single[lo:hi].tobytes(), (name, lo, hi)
+
+
+def _direct_bloch_axes(thetas, phis):
+    tt, pp = np.repeat(thetas, phis.size), np.tile(phis, thetas.size)
+    return np.column_stack((np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)))
+
+
+@pytest.mark.parametrize(
+    "thetas, phis",
+    [(_search_thetas(GridSpec(n, n, n)), _phi_grid(n)) for n in (16, 17, 64, 65)]
+    + [(np.linspace(0.3, 0.4, _REFINE_POINTS), np.linspace(1.0, 1.2, _REFINE_POINTS))],
+    ids=["16", "17", "64", "65", "window"],
+)
+def test_bloch_axes_are_exact_shared_and_read_only(thetas, phis):
+    axes = _bloch_axes(thetas, phis)
+    assert axes.shape == (thetas.size * phis.size, 3)
+    assert axes.tobytes() == _direct_bloch_axes(thetas, phis).tobytes()
+    assert _bloch_axes(thetas.copy(), phis.copy()) is axes
+    with pytest.raises(ValueError, match="read-only"):
+        axes[0, 0] = 0.0
+
+
+def test_bloch_axes_cache_stays_bounded(capsys):
+    # Every verify builds new refinement windows; the coarse axes, scanned by
+    # both sides of the relative-entropy search and by the discord search,
+    # are found in the cache each time, and the cache never outgrows maxsize.
+    before = oracle._bloch_axes_of.cache_info()
+    rng = np.random.default_rng(21)
+    for c in rng.uniform(-1.0 / 3.0, 1.0 / 3.0, size=(30, 3)):  # sum |c_i| <= 1: physical
+        assert main(["verify", "--bd=" + ",".join(map(repr, c.tolist()))]) in (0, 3)
+    capsys.readouterr()
+    info = oracle._bloch_axes_of.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.hits - before.hits >= 2 * 30
 
 
 VERIFY_64 = json.loads((DATA / "cli_verify_64.json").read_text())

@@ -30,15 +30,15 @@ BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 
 
-def _layers():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 @pytest.mark.parametrize(
-    "layer, name", [(layer, fn) for layer, fns in _layers().items() for fn in fns]
+    "layer, name", [(layer, fn) for layer, fns in _spans().LAYERS.items() for fn in fns]
 )
 def test_traced_function_exists(layer, name):
     fn = getattr(importlib.import_module(f"qcorr.{layer}"), name, None)
@@ -180,3 +180,23 @@ def test_searches_start_no_thread(search, monkeypatch, capsys):
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     search()
     assert started == []
+
+
+def test_tracer_sees_verify_after_the_parser_is_built(capsys):
+    # main shares one parser per process; a tracer installed after it was
+    # built must still see the command it wraps and every oracle under it.
+    _verify("--werner=0.5", "--steps", "8")
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _verify("--werner=0.5", "--steps", "8")
+    finally:
+        tracer.uninstall()
+    tracer.absorb()
+    calls = dict(zip(spans.SPAN_NAMES, tracer.calls.tolist()))
+    assert calls["cli.cmd_verify"] == 1
+    for name in spans.LAYERS["oracle"]:
+        assert calls[f"oracle.{name}"] == 1, name
+    # Two plane axes per side, then the two bases of the reported optimum.
+    assert calls["bases.complementary_qubit_basis"] == 6
