@@ -205,7 +205,7 @@ def joint_projective_distribution(
     p = np.empty((2, 2))
     for i, ka in enumerate(basis_a.kets):
         for j, kb in enumerate(basis_b.kets):
-            v = np.kron(ka, kb)
+            v = (ka[:, None] * kb).ravel()  # np.kron(ka, kb), bit for bit
             p[i, j] = (v.conj() @ rho @ v).real
     return JointDistribution(p)
 
@@ -218,7 +218,7 @@ def dephase_in_basis(
     out = np.zeros((4, 4), dtype=complex)
     for i, ka in enumerate(basis_a.kets):
         for j, kb in enumerate(basis_b.kets):
-            v = np.kron(ka, kb)
+            v = (ka[:, None] * kb).ravel()  # np.kron(ka, kb), bit for bit
             out += d.p[i, j] * np.outer(v, v.conj())
     return validate_density(out)
 

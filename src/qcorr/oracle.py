@@ -25,18 +25,21 @@ evaluated row's minimum. The relative-entropy table bounds its rows from
 below, as a measured entropy is never below the von Neumann entropy
 (Nielsen & Chuang, Thm 11.9): measuring along a on A and any b on B gives
 at least LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and
-r_s the probability and B's Bloch vector after outcome s. Chunks go in
-ascending smallest LB, those within TIE_TOL of the smallest in index
-order. With eps = 1e-12 of slack under LB, U the smallest row minimum so
-far and L the smallest LB - eps (an evaluated row counting its minimum),
-the minimum lies in [L, U], and:
+r_s the probability and B's Bloch vector after outcome s. The LAQC rows
+obey Holevo's bound (Thm 12.1), -I(A_a : B_b) >= LB(a) = sum_s p_s
+h((1 + |r_s|)/2) - S(rho_B) for all b; that sum, the discord table, is
+solved once per state and grid (:func:`_conditional_entropy_of`). Chunks
+go in ascending smallest LB, those within TIE_TOL of the smallest in
+index order. With eps = 1e-12 of slack under LB, U the smallest row
+minimum so far and L the smallest LB - eps (an evaluated row counting its
+minimum), the minimum lies in [L, U], and:
 
 * skip: a row with LB - eps above U + TIE_TOL holds neither the minimum
   nor a tie, so a chunk evaluates only its runs of consecutive live rows,
   those neither so ruled out nor evaluated yet, each against U as the
   runs before it left it. The first chunk first evaluates its seed row,
-  its first within TIE_TOL of its smallest LB. The LAQC and discord
-  tables carry no bound: every row is live;
+  its first within TIE_TOL of its smallest LB. The discord table carries
+  no bound: every row is live;
 * early stop, tested after the seed row and after the first chunk: take
   the first row not shown above U + TIE_TOL by its minimum or LB - eps.
   Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
@@ -311,35 +314,47 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     return best
 
 
-def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray):
+def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray, depth: int):
     """Outcome tables of local projective measurements along unit axes.
 
-    Returns ``tables(lo, hi, out)``, which writes the clipped probabilities
-    p(s, t) for rows axes_a[lo:hi] and every axis in axes_b into out[i]
-    and yields it, one table at a time in the outcome order (+,+), (+,-),
-    (-,+), (-,-). A caller that consumes each table before the next may
-    pass one buffer four times. Every table is bitwise equal to
-    0.25 * (1 + s xa + t yb + (s t) k), evaluated left to right, with k
-    formed row by row, so a row has the same bits in any run of rows.
+    ``tables(lo, hi)`` returns one scratch buffer, grown to the longest run
+    yet, as a contiguous (depth, hi - lo, len(axes_b)) array that the next
+    call overwrites. Its first four layers are the clipped p(s, t) of rows
+    axes_a[lo:hi], in outcome order (+,+), (+,-), (-,+), (-,-), each bitwise
+    0.25 * (1 + s xa + t yb + (s t) k) left to right, with k formed row by
+    row, so a row has the same bits in any run. The rest is the caller's.
     """
-    xa_all = axes_a @ bloch.x
-    yb = axes_b @ bloch.y
+    # 1 + s xa per row and t yb per column, for s, t in outcome order.
+    one_sxa = 1.0 + np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * (axes_a @ bloch.x)[:, None]
+    t_yb = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None] * (axes_b @ bloch.y)
     tb = bloch.T @ axes_b.T
+    buf = [np.empty(0)]
 
-    def tables(lo: int, hi: int, out):
+    def tables(lo: int, hi: int) -> np.ndarray:
+        size = depth * (hi - lo) * tb.shape[1]
+        if buf[0].size < size:
+            buf[0] = np.empty(size)
+        out = buf[0][:size].reshape(depth, hi - lo, tb.shape[1])
         # einsum sums each entry's three products in order; a BLAS product's
         # rounding may change with its row count.
         k = np.einsum("ij,jk->ik", axes_a[lo:hi], tb)
-        xa = xa_all[lo:hi, None]
-        for p, (s, t) in zip(out, ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
-            np.add(1.0 + s * xa, t * yb[None, :], out=p)
-            # (s t) k is exactly +-k, and adding -k is subtracting k.
-            (np.add if s == t else np.subtract)(p, k, out=p)
-            np.multiply(p, 0.25, out=p)
-            np.clip(p, 0.0, 1.0, out=p)
-            yield p
+        p = out[:4]
+        np.add(one_sxa[:, lo:hi], t_yb, out=p)
+        # (s t) k is +k for (+,+) and (-,-), else -k, and adding -k is subtracting k.
+        np.add(p[::3], k, out=p[::3])
+        np.subtract(p[1:3], k, out=p[1:3])
+        np.multiply(p, 0.25, out=p)
+        np.clip(p, 0.0, 1.0, out=p)
+        return out
 
     return tables
+
+
+def _xlog2_in_place(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite p, in [0, 1], with xlog2(p). A -0 entry stays -0 where xlog2
+    gives +0, which no sum holding a nonzero term can show."""
+    pos = p > 0.0
+    return np.multiply(p, np.log2(p, out=scratch, where=pos), out=p, where=pos)
 
 
 def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
@@ -348,33 +363,22 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     Rows are basis angles on A, columns on B. Minimizing
     S(rho || dephase(rho, basis)) is minimizing this entropy since the
     dephasing shares rho's diagonal, making the relative entropy
-    S(dephased) - S(rho) with S(rho) fixed. The table of any run of at most
-    _CHUNK_ROWS rows is bitwise equal to minus the sum of xlog2 over the
-    four outcome tables; its buffers are allocated once per evaluator.
+    S(dephased) - S(rho) with S(rho) fixed. Any run of rows is bitwise minus
+    the sum of xlog2 over the four outcome tables, in outcome order.
     ``rows.bound`` holds each row's entropy lower bound.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
-    axes_b = _bloch_axes(theta_b, phi_b)
-    tables = _outcome_rows(bloch, axes_a, axes_b)
-    shape = (min(_CHUNK_ROWS, axes_a.shape[0]), axes_b.shape[0])
-    p_buf, plogp_buf, pos_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    tables = _outcome_rows(bloch, axes_a, _bloch_axes(theta_b, phi_b), depth=8)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        n = hi - lo
-        h = np.zeros((n, axes_b.shape[0]))
-        plogp, pos = plogp_buf[:n], pos_buf[:n]
-        for p in tables(lo, hi, (p_buf[:n],) * 4):
-            # h -= xlog2(p), where xlog2 is 0 off the positive entries.
-            np.greater(p, 0.0, out=pos)
-            np.log2(p, out=plogp, where=pos)
-            np.multiply(p, plogp, out=plogp, where=pos)
-            np.subtract(h, plogp, out=h, where=pos)
-        return h
+        out = tables(lo, hi)
+        # A leading-axis sum adds in order, not pairwise: 0 - t0 - t1 - t2 - t3.
+        return 0.0 - _xlog2_in_place(out[:4], out[4:]).sum(axis=0)
 
     # H(A, B) = H(A) + sum_s p_s H(B | s), and no measurement on B has a
     # smaller entropy than the conditional state's von Neumann entropy.
     p_a = np.clip(0.5 * (1.0 + axes_a @ bloch.x), 0.0, 1.0)
-    rows.bound = _conditional_entropy(bloch, axes_a) - xlog2(p_a) - xlog2(1.0 - p_a)
+    rows.bound = _conditional_entropy_of(bloch, theta_a, phi_a) - xlog2(p_a) - xlog2(1.0 - p_a)
     return rows
 
 
@@ -427,19 +431,25 @@ def _laqc_plane(computational: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
 def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
     """Row evaluator of minus the mutual information of every (phi_a, phi_b)
     complementary-basis pair, the axes turning in the planes (e1, e2) of
-    :func:`_laqc_plane`."""
+    :func:`_laqc_plane`. ``rows.bound`` holds each row's Holevo bound."""
 
-    def axes(phis, plane):
-        e1, e2 = plane
-        return np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2
+    def axes(phis, plane):  # plane = (e1, e2)
+        return np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1]
 
-    tables = _outcome_rows(bloch, axes(phi_a, plane_a), axes(phi_b, plane_b))
+    axes_a = axes(phi_a, plane_a)
+    tables = _outcome_rows(bloch, axes_a, axes(phi_b, plane_b), depth=16)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        pp, pm, mp, mm = tables(lo, hi, np.empty((4, hi - lo, phi_b.size)))
-        marginals = xlog2(pp + pm) + xlog2(mp + mm) + xlog2(pp + mp) + xlog2(pm + mm)
-        return marginals - (xlog2(pp) + xlog2(pm) + xlog2(mp) + xlog2(mm))
+        t = tables(lo, hi)
+        # The marginals pp + pm, mp + mm, pp + mp, pm + mm after the joint tables.
+        np.add(t[0:4:2], t[1:4:2], out=t[4:6])
+        np.add(t[0:2], t[2:4], out=t[6:8])
+        e = _xlog2_in_place(t[:8], t[8:])
+        return e[4:].sum(axis=0) - e[:4].sum(axis=0)  # each adds its layers in order
 
+    # Holevo: for every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s).
+    cond = _conditional_entropy(bloch, np.vstack((axes_a, np.zeros(3))))
+    rows.bound = cond[:-1] - cond[-1]
     return rows
 
 
@@ -450,15 +460,20 @@ def maximize_laqc(
 ) -> OracleResult:
     """Search (phi_a, phi_b) independently for maximal complementary-basis
     mutual information over the supplied computational bases."""
+    pair = computational if isinstance(computational, (tuple, list)) else ()
+    if len(pair) != 2 or not all(isinstance(b, QubitBasis) for b in pair):
+        raise ValueError(f"computational must be a pair of QubitBasis, got {computational!r}")
     rho = validate_density(rho)
     bloch = bloch_decompose(rho)
     comp_a, comp_b = computational
+    plane_a = _laqc_plane(comp_a)
+    plane_b = plane_a if comp_b is comp_a else _laqc_plane(comp_b)
     phis = _phi_grid(grid.steps_comp_phi)
     best = _grid_search(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, bloch, _laqc_plane(comp_a), _laqc_plane(comp_b)),
+        functools.partial(_laqc_rows, bloch, plane_a, plane_b),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -473,31 +488,41 @@ def maximize_laqc(
 
 
 def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
-    """sum_s p_s S(rho_B | s) for a measurement on A along each unit axis."""
-    xa = np.einsum("ij,j->i", axes, bloch.x)
-    at = np.einsum("ij,jk->ik", axes, bloch.T)
-    out = np.zeros(axes.shape[0])
-    for s in (1.0, -1.0):
-        p = 0.5 * (1.0 + s * xa)
-        w = bloch.y[None, :] + s * at
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
-        # binary entropy of the conditional state's eigenvalues
-        lam = 0.5 * (1.0 + np.clip(np.where(p > 1e-14, r, 0.0), 0.0, 1.0))
-        ent = -xlog2(lam) - xlog2(1.0 - lam)
-        out += np.where(p > 1e-14, p * ent, 0.0)
-    return out
+    """sum_s p_s S(rho_B | s) for a measurement on A along each axis (the zero
+    axis measures nothing: S(rho_B)); the outcomes s = +1, -1 stack on axis 0."""
+    s = np.array([[1.0], [-1.0]])
+    one_sxa = 1.0 + s * np.einsum("ij,j->i", axes, bloch.x)
+    p = 0.5 * one_sxa
+    seen = p > 1e-14
+    # (1 + s a.x) r_s = y + s a.T by component, squares added as np.linalg.norm does
+    at = np.ascontiguousarray(np.einsum("ij,jk->ik", axes, bloch.T).T)
+    sq = np.square(bloch.y[:, None, None] + s * at[:, None, :])
+    r = np.divide(np.sqrt(sq[0] + sq[1] + sq[2]), one_sxa, out=np.zeros(p.shape), where=seen)
+    lam = 0.5 * (1.0 + np.minimum(r, 1.0))
+    plogp = xlog2(np.stack((lam, 1.0 - lam)))
+    term = np.multiply(p, -plogp[0] - plogp[1], out=np.zeros(p.shape), where=seen)
+    return 0.0 + term[0] + term[1]
+
+
+def _conditional_entropy_of(bloch: BlochParams, thetas, phis) -> np.ndarray:
+    """:func:`_conditional_entropy` along the axes of :func:`_bloch_axes`, read-only, cached
+    by the bytes of the state and grids: the relative-entropy bound and discord share it."""
+    key = (bloch.x, bloch.y, bloch.T, thetas, phis)
+    return _conditional_entropy_table(*(np.asarray(a, float).tobytes() for a in key))
+
+
+@functools.lru_cache(maxsize=8)
+def _conditional_entropy_table(x, y, t, theta_bytes, phi_bytes) -> np.ndarray:
+    bloch = BlochParams(np.frombuffer(x), np.frombuffer(y), np.frombuffer(t).reshape(3, 3))
+    table = _conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes))
+    table.flags.writeable = False
+    return table
 
 
 def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
     """Row evaluator of :func:`_conditional_entropy`; rows are theta, columns phi."""
-    axes = _bloch_axes(thetas, phis)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        ax = axes[lo * phis.size : hi * phis.size]
-        return _conditional_entropy(bloch, ax).reshape(hi - lo, phis.size)
-
-    return rows
+    table = _conditional_entropy_of(bloch, thetas, phis).reshape(thetas.size, phis.size)
+    return lambda lo, hi: table[lo:hi]
 
 
 def _entropy(rho: np.ndarray) -> float:
@@ -507,13 +532,18 @@ def _entropy(rho: np.ndarray) -> float:
     return float(-xlog2(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))).sum())
 
 
+def _projector_on_a(ket: np.ndarray) -> np.ndarray:
+    """|ket><ket| (x) I: np.kron's own broadcast product, so its bits, signed zeros too."""
+    return (np.outer(ket, ket.conj())[:, None, :, None] * np.eye(2)[:, None, :]).reshape(4, 4)
+
+
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
     """Discord objective at one measurement basis via explicit projectors."""
     s_b = _entropy(partial_trace(rho, "B"))  # it cancels, but dropping it moves bits
     total = _entropy(partial_trace(rho, "A")) + s_b - _entropy(rho)
     cond = 0.0
     for ket in local_qubit_basis(theta, phi).kets:
-        proj = np.kron(np.outer(ket, ket.conj()), np.eye(2))
+        proj = _projector_on_a(ket)
         weight = float(np.trace(proj @ rho).real)
         if weight > 1e-14:
             tau = partial_trace(proj @ rho @ proj, "B") / weight
@@ -549,7 +579,7 @@ def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:
     """
     p = as_bell_params(params)
     rho = bell_diagonal_state(p)
-    standard = (QubitBasis.standard(), QubitBasis.standard())
+    standard = (QubitBasis.standard(),) * 2
     return ClosedFormAudit(
         params=p,
         classical=minimize_relative_entropy_basis(rho, grid),

@@ -16,6 +16,7 @@ from qcorr.bases import (
     rotate_to_basis,
 )
 from qcorr.correlations import full_report
+from qcorr.oracle import _projector_on_a
 from qcorr.qstate import bell_diagonal_state, von_neumann_entropy, werner_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -239,3 +240,38 @@ class TestNonFiniteInputs:
     def test_all_nan_table_is_rejected(self):
         with pytest.raises(ValueError):
             JointDistribution(np.full((2, 2), math.nan))
+
+
+def _random_bases(n, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(n, 2))
+    return [local_qubit_basis(theta, phi) for theta, phi in angles]
+
+
+def test_product_kets_and_projectors_are_bitwise_kron():
+    # The outer-product ket and the kron-free P (x) I give np.kron's bits,
+    # signed zeros included, so the probabilities, dephased states and
+    # discord projectors built from them keep their bits too; the state has
+    # x != 0, so it is not Bell diagonal.
+    bases = _random_bases(100, seed=4) + [QubitBasis.standard(), local_qubit_basis(math.pi, 0.5)]
+    kets = [k for basis in bases for k in basis.kets]
+    rng = np.random.default_rng(5)
+    for ka, kb in zip(kets, rng.permutation(len(kets))):
+        kb = kets[kb]
+        assert (ka[:, None] * kb).ravel().tobytes() == np.kron(ka, kb).tobytes()
+        projector = np.kron(np.outer(ka, ka.conj()), np.eye(2))
+        assert _projector_on_a(ka).tobytes() == projector.tobytes()
+    rho = bell_diagonal_state((0.7, -0.3, 0.5)) + 0.01 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    for basis_a, basis_b in zip(bases, bases[::-1]):
+        p = np.empty((2, 2))
+        products = [[np.kron(ka, kb) for kb in basis_b.kets] for ka in basis_a.kets]
+        for i, j in np.ndindex(2, 2):
+            v = products[i][j]
+            p[i, j] = (v.conj() @ rho @ v).real
+        joint = joint_projective_distribution(rho, basis_a, basis_b)
+        assert joint.p.tobytes() == np.clip(p, 0.0, 1.0).tobytes()
+        dephased = np.zeros((4, 4), dtype=complex)
+        for i, j in np.ndindex(2, 2):
+            v = products[i][j]
+            dephased += joint.p[i, j] * np.outer(v, v.conj())
+        assert dephase_in_basis(rho, basis_a, basis_b).tobytes() == dephased.tobytes()

@@ -259,3 +259,33 @@ def test_discord_objective_solves_five_entropies(monkeypatch):
     value = oracle._measured_discord_at(bell_diagonal_state((0.7, -0.3, 0.5)), 0.4, 1.1)
     assert len(calls) == 5
     assert value > 0.0
+
+
+_STD = QubitBasis.standard()
+
+
+@pytest.mark.parametrize(
+    "computational",
+    [(_STD,), [_STD, _STD, _STD], (_STD, "x"), _STD, None, (_STD, _STD.ket0)],
+    ids=["one", "three", "not-a-basis", "bare-basis", "none", "ket"],
+)
+def test_laqc_rejects_anything_but_a_pair_of_bases(computational):
+    with pytest.raises(ValueError, match="computational must be a pair of QubitBasis"):
+        maximize_laqc(werner_state(0.5), computational, SMALL)
+
+
+def test_laqc_accepts_a_list_pair_and_shares_one_plane(monkeypatch):
+    # The same basis on both sides gives one plane; two objects, two planes.
+    planes = []
+    plane = oracle._laqc_plane
+
+    def counting(basis):
+        planes.append(basis)
+        return plane(basis)
+
+    monkeypatch.setattr(oracle, "_laqc_plane", counting)
+    rho = bell_diagonal_state((0.7, -0.3, 0.5))
+    shared = maximize_laqc(rho, [_STD, _STD], SMALL)
+    separate = maximize_laqc(rho, (_STD, QubitBasis.standard()), SMALL)
+    assert len(planes) == 3
+    assert repr(shared) == repr(separate)

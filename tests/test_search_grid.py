@@ -29,6 +29,8 @@ from qcorr.oracle import (
     TIE_TOL,
     GridSpec,
     _bloch_axes,
+    _conditional_entropy,
+    _conditional_entropy_of,
     _conditional_entropy_rows,
     _dephased_entropy_rows,
     _grid_search,
@@ -39,6 +41,7 @@ from qcorr.oracle import (
     _search_thetas,
     _theta_grid,
     brute_force_discord,
+    maximize_laqc,
     minimize_relative_entropy_basis,
 )
 from qcorr.qstate import bell_diagonal_state, bloch_decompose, werner_state, xlog2
@@ -352,6 +355,63 @@ def test_row_minima_never_fall_below_the_entropy_bound(entries, rank, steps_thet
     assert np.all(row_min >= rows.bound - _BOUND_SLACK / 100)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    st.integers(1, 4),
+    st.lists(st.floats(0.0, 3.14), min_size=2, max_size=2),
+    st.lists(st.floats(0.0, 6.28), min_size=2, max_size=2),
+    st.integers(2, 9),
+    st.integers(2, 9),
+)
+def test_laqc_row_minima_never_fall_below_the_holevo_bound(entries, rank, thetas, phis, n_a, n_b):
+    # For every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s): minus
+    # the mutual information is never below the bound, by more than
+    # rounding, on full-rank and rank-deficient states in any bases.
+    a = np.reshape(entries, (4, 4, 2))[:, :rank]
+    g = a[..., 0] + 1j * a[..., 1]
+    rho = g @ g.conj().T
+    if np.trace(rho).real < 1e-6:
+        return
+    bloch = bloch_decompose(rho / np.trace(rho).real)
+    planes = [_laqc_plane(local_qubit_basis(t, p)) for t, p in zip(thetas, phis)]
+    rows = _laqc_rows(bloch, *planes, _phi_grid(n_a), _phi_grid(n_b))
+    assert np.all(rows(0, n_a).min(axis=1) >= rows.bound - _BOUND_SLACK / 100)
+
+
+@pytest.mark.parametrize("bd", NAMED_TRIPLES[1:4], ids=str)
+def test_holevo_bound_is_tight_on_bell_diagonal_rows(bd):
+    # In the standard planes, T a lies in B's plane, so the best b of a row
+    # attains the bound: the seed row settles the search.
+    plane, phis = _laqc_plane(QubitBasis.standard()), _phi_grid(64)
+    rows = _laqc_rows(bloch_decompose(bell_diagonal_state(bd)), plane, plane, phis, phis)
+    least = rows(0, 64).min(axis=1)
+    assert np.abs(least - rows.bound)[[0, 16, 32, 48]].max() < 1e-14
+
+
+@pytest.mark.parametrize("steps", [8, 13, 24, 40])
+def test_bounded_laqc_search_equals_unbounded_search(steps, monkeypatch):
+    # The Holevo bound only skips work: deleting it must not move a bit of
+    # any result, for Bell-diagonal and general states, in any bases.
+    rng = np.random.default_rng(steps)
+    cases = []
+    for rho in STATES[:10] + STATES[-10:]:
+        theta_phi = rng.uniform((0.0, 0.0), (np.pi, 2.0 * np.pi), size=(2, 2))
+        bases = tuple(local_qubit_basis(*tp) for tp in theta_phi)
+        cases += [(rho, (QubitBasis.standard(),) * 2), (rho, bases)]
+    grid = GridSpec(2, 2, steps)
+    bounded = [repr(maximize_laqc(rho, comp, grid)) for rho, comp in cases]
+    evaluate = oracle._laqc_rows
+
+    def unbounded(*args):
+        rows = evaluate(*args)
+        del rows.bound
+        return rows
+
+    monkeypatch.setattr(oracle, "_laqc_rows", unbounded)
+    assert [repr(maximize_laqc(rho, comp, grid)) for rho, comp in cases] == bounded
+
+
 @pytest.mark.parametrize(
     "grid, rows",
     [
@@ -498,15 +558,88 @@ def test_bloch_axes_are_exact_shared_and_read_only(thetas, phis):
 def test_bloch_axes_cache_stays_bounded(capsys):
     # Every verify builds new refinement windows; the coarse axes, scanned by
     # both sides of the relative-entropy search and by the discord search,
-    # are found in the cache each time, and the cache never outgrows maxsize.
-    before = oracle._bloch_axes_of.cache_info()
+    # are found in the cache each time, as is the coarse conditional-entropy
+    # table the discord search shares with the relative-entropy bound, and
+    # neither cache ever outgrows its maxsize.
+    caches = (oracle._bloch_axes_of, oracle._conditional_entropy_table)
+    before = [cache.cache_info() for cache in caches]
     rng = np.random.default_rng(21)
     for c in rng.uniform(-1.0 / 3.0, 1.0 / 3.0, size=(30, 3)):  # sum |c_i| <= 1: physical
         assert main(["verify", "--bd=" + ",".join(map(repr, c.tolist()))]) in (0, 3)
     capsys.readouterr()
-    info = oracle._bloch_axes_of.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert info.hits - before.hits >= 2 * 30
+    after = [cache.cache_info() for cache in caches]
+    for info in after:
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert after[0].hits - before[0].hits >= 2 * 30
+    assert after[1].hits - before[1].hits >= 30
+
+
+def _reference_conditional_entropy(bloch, axes):
+    """The conditional entropy as a loop over the outcomes s: the reference."""
+    xa = np.einsum("ij,j->i", axes, bloch.x)
+    at = np.einsum("ij,jk->ik", axes, bloch.T)
+    out = np.zeros(axes.shape[0])
+    for s in (1.0, -1.0):
+        p = 0.5 * (1.0 + s * xa)
+        w = bloch.y[None, :] + s * at
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.linalg.norm(w, axis=1) / (1.0 + s * xa)
+        lam = 0.5 * (1.0 + np.clip(np.where(p > 1e-14, r, 0.0), 0.0, 1.0))
+        ent = -xlog2(lam) - xlog2(1.0 - lam)
+        out += np.where(p > 1e-14, p * ent, 0.0)
+    return out
+
+
+def test_conditional_entropy_is_bitwise_the_loop_over_outcomes():
+    # Stacking the two outcomes must not move a bit of the discord table,
+    # for pure product states (outcomes never seen) and the zero axis too.
+    axes = np.vstack(
+        (_bloch_axes(_theta_grid(17), _phi_grid(16)), np.eye(3), -np.eye(3), np.zeros((1, 3)))
+    )
+    diagonals = ([1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0.5, 0, 0.5])
+    products = [np.diag(d).astype(complex) for d in diagonals]
+    for rho in STATES + products:
+        bloch = bloch_decompose(rho)
+        assert _conditional_entropy(bloch, axes).tobytes() == (
+            _reference_conditional_entropy(bloch, axes).tobytes()
+        )
+
+
+@pytest.mark.parametrize(
+    "thetas, phis",
+    [(_search_thetas(GridSpec(n, n, n)), _phi_grid(n)) for n in (16, 17, 64, 65)]
+    + [(np.linspace(0.3, 0.4, _REFINE_POINTS), np.linspace(1.0, 1.2, _REFINE_POINTS))],
+    ids=["16", "17", "64", "65", "window"],
+)
+def test_conditional_entropy_tables_are_exact_shared_and_read_only(thetas, phis):
+    for rho in STATES[:3] + STATES[-3:]:
+        bloch = bloch_decompose(rho)
+        table = _conditional_entropy_of(bloch, thetas, phis)
+        assert table.tobytes() == _conditional_entropy(bloch, _bloch_axes(thetas, phis)).tobytes()
+        # The same state rebuilt from its matrix, and copies of the grids, hit the cache.
+        again = _conditional_entropy_of(bloch_decompose(rho.copy()), thetas.copy(), phis.copy())
+        assert again is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        rows = _conditional_entropy_rows(bloch, thetas, phis)
+        assert rows(0, thetas.size).tobytes() == table.tobytes()
+
+
+def test_verify_solves_the_coarse_conditional_entropy_table_once(monkeypatch, capsys):
+    # The relative-entropy bound (side A) and the discord search read the
+    # same 2048-axis table of the 64-step grid.
+    oracle._conditional_entropy_table.cache_clear()
+    sizes = []
+    solve = oracle._conditional_entropy
+
+    def counting(bloch, axes):
+        sizes.append(axes.shape[0])
+        return solve(bloch, axes)
+
+    monkeypatch.setattr(oracle, "_conditional_entropy", counting)
+    assert main(["verify", "--werner", "0.5"]) == 0
+    capsys.readouterr()
+    assert sizes.count(2048) == 1
 
 
 VERIFY_64 = json.loads((DATA / "cli_verify_64.json").read_text())

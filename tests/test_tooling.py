@@ -96,32 +96,43 @@ def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monk
     # The entropy bound leaves at most two rows of the 2048-row coarse table
     # and one row of a refinement window for every state of a cycle: the
     # Werner state stops early after its seed row, the asymmetric triples
-    # skip every other row.
+    # skip every other row. The Holevo bound leaves one row of the 64-row
+    # LAQC table, its seed, and rules out the LAQC window.
     _load_bench_module("reference", monkeypatch)
     audit = _load_bench_module("workloads", monkeypatch).Audit(qcorr, tmp_path)
     ops = list(itertools.islice(audit.ops(np.random.default_rng(1)), len(audit.CYCLE)))
-    evaluate = qcorr.oracle._dephased_entropy_rows
-    counts = []
+    counts = {"_dephased_entropy_rows": [], "_laqc_rows": []}
 
-    def counting(bloch, *grids):
-        rows = evaluate(bloch, *grids)
-        count = [grids[0].size * grids[1].size, 0]  # rows of the table, rows evaluated
-        counts.append(count)
+    def counting(name):
+        evaluate = getattr(qcorr.oracle, name)
 
-        def counted(lo, hi):
-            count[1] += hi - lo
-            return rows(lo, hi)
+        def evaluator(bloch, *args):
+            rows = evaluate(bloch, *args)
+            grids = args[-2:]  # the LAQC evaluator takes its two planes first
+            count = [grids[0].size * grids[1].size, 0]  # rows of the table, rows evaluated
+            counts[name].append(count)
 
-        counted.bound = rows.bound
-        return counted
+            def counted(lo, hi):
+                count[1] += hi - lo
+                return rows(lo, hi)
 
-    monkeypatch.setattr(qcorr.oracle, "_dephased_entropy_rows", counting)
+            counted.bound = rows.bound
+            return counted
+
+        monkeypatch.setattr(qcorr.oracle, name, evaluator)
+
+    for name in counts:
+        counting(name)
     for op in ops:
         assert audit.run(op)[0] in (0, 3)
-    coarse = [n for size, n in counts if size == 2048]
+    dephased, laqc = counts["_dephased_entropy_rows"], counts["_laqc_rows"]
+    coarse = [n for size, n in dephased if size == 2048]
     assert coarse[0] == 1 and len(coarse) == len(audit.CYCLE)
     assert max(coarse) <= 2
-    assert max(n for size, n in counts if size < 2048) <= 1
+    assert max(n for size, n in dephased if size < 2048) <= 1
+    laqc_coarse = [n for size, n in laqc if size == 64 * 64]
+    assert len(laqc_coarse) == len(audit.CYCLE) and max(laqc_coarse) <= 1
+    assert [n for size, n in laqc if size != 64 * 64] == [0] * len(audit.CYCLE)
 
 
 def test_import_starts_no_thread():
@@ -198,5 +209,6 @@ def test_tracer_sees_verify_after_the_parser_is_built(capsys):
     assert calls["cli.cmd_verify"] == 1
     for name in spans.LAYERS["oracle"]:
         assert calls[f"oracle.{name}"] == 1, name
-    # Two plane axes per side, then the two bases of the reported optimum.
-    assert calls["bases.complementary_qubit_basis"] == 6
+    # Two plane axes, shared by both sides as they share the standard basis,
+    # then the two bases of the reported optimum.
+    assert calls["bases.complementary_qubit_basis"] == 4
