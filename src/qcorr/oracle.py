@@ -25,21 +25,21 @@ evaluated row's minimum. The relative-entropy table bounds its rows from
 below, as a measured entropy is never below the von Neumann entropy
 (Nielsen & Chuang, Thm 11.9): measuring along a on A and any b on B gives
 at least LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and
-r_s the probability and B's Bloch vector after outcome s. The LAQC rows
-obey Holevo's bound (Thm 12.1), -I(A_a : B_b) >= LB(a) = sum_s p_s
-h((1 + |r_s|)/2) - S(rho_B) for all b; that sum, the discord table, is
-solved once per state and grid (:func:`_conditional_entropy_of`). Chunks
-go in ascending smallest LB, those within TIE_TOL of the smallest in
-index order. With eps = 1e-12 of slack under LB, U the smallest row
-minimum so far and L the smallest LB - eps (an evaluated row counting its
-minimum), the minimum lies in [L, U], and:
+r_s the probability and B's Bloch vector after outcome s; that sum, the
+discord table, is solved once per state and grid. The LAQC rows carry
+Holevo's bound (Thm 12.1), -I(A_a : B_b) >= sum_s p_s h((1 + |r_s|)/2) -
+S(rho_B), only where every row attains it (:func:`_laqc_rows`). Chunks go
+in ascending smallest LB, those within TIE_TOL of the smallest in index
+order. With eps = 1e-12 of slack under LB, U the smallest row minimum so
+far and L the smallest LB - eps (an evaluated row counting its minimum),
+the minimum lies in [L, U], and:
 
 * skip: a row with LB - eps above U + TIE_TOL holds neither the minimum
   nor a tie, so a chunk evaluates only its runs of consecutive live rows,
   those neither so ruled out nor evaluated yet, each against U as the
   runs before it left it. The first chunk first evaluates its seed row,
-  its first within TIE_TOL of its smallest LB. The discord table carries
-  no bound: every row is live;
+  its first within TIE_TOL of its smallest LB. A table without a bound,
+  the discord table always, has every row live;
 * early stop, tested after the seed row and after the first chunk: take
   the first row not shown above U + TIE_TOL by its minimum or LB - eps.
   Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
@@ -317,12 +317,12 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
 def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray, depth: int):
     """Outcome tables of local projective measurements along unit axes.
 
-    ``tables(lo, hi)`` returns one scratch buffer, grown to the longest run
-    yet, as a contiguous (depth, hi - lo, len(axes_b)) array that the next
-    call overwrites. Its first four layers are the clipped p(s, t) of rows
-    axes_a[lo:hi], in outcome order (+,+), (+,-), (-,+), (-,-), each bitwise
-    0.25 * (1 + s xa + t yb + (s t) k) left to right, with k formed row by
-    row, so a row has the same bits in any run. The rest is the caller's.
+    ``tables(lo, hi)`` returns a buffer grown to the longest run yet, as a
+    (depth, hi - lo, len(axes_b)) array the next call overwrites. Its first
+    four layers are the clipped p(s, t) of rows axes_a[lo:hi] in outcome
+    order (+,+), (+,-), (-,+), (-,-), each bitwise 0.25 * (1 + s xa + t yb
+    + (s t) k) left to right, with k formed row by row, so a row has the
+    same bits in any run. The rest, k's layer last, is the caller's scratch.
     """
     # 1 + s xa per row and t yb per column, for s, t in outcome order.
     one_sxa = 1.0 + np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * (axes_a @ bloch.x)[:, None]
@@ -337,7 +337,7 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray, de
         out = buf[0][:size].reshape(depth, hi - lo, tb.shape[1])
         # einsum sums each entry's three products in order; a BLAS product's
         # rounding may change with its row count.
-        k = np.einsum("ij,jk->ik", axes_a[lo:hi], tb)
+        k = np.einsum("ij,jk->ik", axes_a[lo:hi], tb, out=out[-1])
         p = out[:4]
         np.add(one_sxa[:, lo:hi], t_yb, out=p)
         # (s t) k is +k for (+,+) and (-,-), else -k, and adding -k is subtracting k.
@@ -350,30 +350,25 @@ def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray, de
     return tables
 
 
-def _xlog2_in_place(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite p, in [0, 1], with xlog2(p). A -0 entry stays -0 where xlog2
-    gives +0, which no sum holding a nonzero term can show."""
-    pos = p > 0.0
-    return np.multiply(p, np.log2(p, out=scratch, where=pos), out=p, where=pos)
-
-
 def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     """Row evaluator for the joint entropy of the dephased state.
 
     Rows are basis angles on A, columns on B. Minimizing
     S(rho || dephase(rho, basis)) is minimizing this entropy since the
     dephasing shares rho's diagonal, making the relative entropy
-    S(dephased) - S(rho) with S(rho) fixed. Any run of rows is bitwise minus
-    the sum of xlog2 over the four outcome tables, in outcome order.
+    S(dephased) - S(rho) with S(rho) fixed. Any run of rows is bitwise 0
+    less xlog2 of each outcome table in turn, each xlog2 into one scratch layer.
     ``rows.bound`` holds each row's entropy lower bound.
     """
     axes_a = _bloch_axes(theta_a, phi_a)
-    tables = _outcome_rows(bloch, axes_a, _bloch_axes(theta_b, phi_b), depth=8)
+    tables = _outcome_rows(bloch, axes_a, _bloch_axes(theta_b, phi_b), depth=5)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        out = tables(lo, hi)
-        # A leading-axis sum adds in order, not pairwise: 0 - t0 - t1 - t2 - t3.
-        return 0.0 - _xlog2_in_place(out[:4], out[4:]).sum(axis=0)
+        *outcomes, scratch = tables(lo, hi)
+        h = np.zeros(scratch.shape)
+        for p in outcomes:
+            h -= xlog2(p, out=scratch)
+        return h
 
     # H(A, B) = H(A) + sum_s p_s H(B | s), and no measurement on B has a
     # smaller entropy than the conditional state's von Neumann entropy.
@@ -431,7 +426,8 @@ def _laqc_plane(computational: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
 def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
     """Row evaluator of minus the mutual information of every (phi_a, phi_b)
     complementary-basis pair, the axes turning in the planes (e1, e2) of
-    :func:`_laqc_plane`. ``rows.bound`` holds each row's Holevo bound."""
+    :func:`_laqc_plane`. ``rows.bound``, set where it is attained, holds
+    each row's Holevo bound."""
 
     def axes(phis, plane):  # plane = (e1, e2)
         return np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1]
@@ -444,12 +440,16 @@ def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
         # The marginals pp + pm, mp + mm, pp + mp, pm + mm after the joint tables.
         np.add(t[0:4:2], t[1:4:2], out=t[4:6])
         np.add(t[0:2], t[2:4], out=t[6:8])
-        e = _xlog2_in_place(t[:8], t[8:])
+        e = xlog2(t[:8], out=t[8:])
         return e[4:].sum(axis=0) - e[:4].sum(axis=0)  # each adds its layers in order
 
     # Holevo: for every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s).
-    cond = _conditional_entropy(bloch, np.vstack((axes_a, np.zeros(3))))
-    rows.bound = cond[:-1] - cond[-1]
+    # With y = 0, S(rho_B) = 1 and rho_B|s lie along +-T^T a: measuring B along
+    # T^T a attains it, on every row if T^T maps A's plane into B's (Bell-diagonal
+    # states in the standard bases). Elsewhere it costs more than it skips.
+    leak = np.array(plane_a) @ bloch.T @ np.cross(*plane_b)
+    if not bloch.y.any() and np.abs(leak).max() <= TIE_TOL:
+        rows.bound = _conditional_entropy(bloch, axes_a) - 1.0
     return rows
 
 
@@ -466,14 +466,12 @@ def maximize_laqc(
     rho = validate_density(rho)
     bloch = bloch_decompose(rho)
     comp_a, comp_b = computational
-    plane_a = _laqc_plane(comp_a)
-    plane_b = plane_a if comp_b is comp_a else _laqc_plane(comp_b)
     phis = _phi_grid(grid.steps_comp_phi)
     best = _grid_search(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, bloch, plane_a, plane_b),
+        functools.partial(_laqc_rows, bloch, _laqc_plane(comp_a), _laqc_plane(comp_b)),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -488,8 +486,7 @@ def maximize_laqc(
 
 
 def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
-    """sum_s p_s S(rho_B | s) for a measurement on A along each axis (the zero
-    axis measures nothing: S(rho_B)); the outcomes s = +1, -1 stack on axis 0."""
+    """sum_s p_s S(rho_B | s) for a measurement on A along each unit axis."""
     s = np.array([[1.0], [-1.0]])
     one_sxa = 1.0 + s * np.einsum("ij,j->i", axes, bloch.x)
     p = 0.5 * one_sxa
@@ -579,7 +576,7 @@ def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:
     """
     p = as_bell_params(params)
     rho = bell_diagonal_state(p)
-    standard = (QubitBasis.standard(),) * 2
+    standard = (QubitBasis.standard(), QubitBasis.standard())
     return ClosedFormAudit(
         params=p,
         classical=minimize_relative_entropy_basis(rho, grid),

@@ -44,9 +44,10 @@ from qcorr.oracle import (
     maximize_laqc,
     minimize_relative_entropy_basis,
 )
-from qcorr.qstate import bell_diagonal_state, bloch_decompose, werner_state, xlog2
+from qcorr.qstate import BlochParams, bell_diagonal_state, bloch_decompose, werner_state, xlog2
 
 DATA = Path(__file__).parent / "data"
+_STD = QubitBasis.standard()
 
 NAMED_TRIPLES = [
     (0.0, 0.0, 0.0),
@@ -355,6 +356,19 @@ def test_row_minima_never_fall_below_the_entropy_bound(entries, rank, steps_thet
     assert np.all(row_min >= rows.bound - _BOUND_SLACK / 100)
 
 
+def _without_b_vector(bloch, w):
+    """(1 - w) (rho + spin-flipped rho) / 2 + w rho_A (x) I/2: y = 0 exactly,
+    x = w x, T = (1 - w) T, a state whenever bloch is one."""
+    return BlochParams(w * bloch.x, np.zeros(3), (1.0 - w) * bloch.T)
+
+
+def _holevo_bound(bloch, plane, phis):
+    """sum_s p_s S(rho_B | s) - S(rho_B) along each axis of the plane."""
+    axes = np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1]
+    lam = 0.5 * (1.0 + np.linalg.norm(bloch.y))
+    return _conditional_entropy(bloch, axes) - (-xlog2(lam) - xlog2(1.0 - lam))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
@@ -363,53 +377,87 @@ def test_row_minima_never_fall_below_the_entropy_bound(entries, rank, steps_thet
     st.lists(st.floats(0.0, 6.28), min_size=2, max_size=2),
     st.integers(2, 9),
     st.integers(2, 9),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
-def test_laqc_row_minima_never_fall_below_the_holevo_bound(entries, rank, thetas, phis, n_a, n_b):
+def test_laqc_row_minima_never_fall_below_the_holevo_bound(
+    entries, rank, thetas, phis, n_a, n_b, w
+):
     # For every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s): minus
     # the mutual information is never below the bound, by more than
-    # rounding, on full-rank and rank-deficient states in any bases.
+    # rounding, on full-rank and rank-deficient states in any bases, with
+    # and without B's Bloch vector.
     a = np.reshape(entries, (4, 4, 2))[:, :rank]
     g = a[..., 0] + 1j * a[..., 1]
     rho = g @ g.conj().T
     if np.trace(rho).real < 1e-6:
         return
     bloch = bloch_decompose(rho / np.trace(rho).real)
+    if w is not None:
+        bloch = _without_b_vector(bloch, w)
     planes = [_laqc_plane(local_qubit_basis(t, p)) for t, p in zip(thetas, phis)]
     rows = _laqc_rows(bloch, *planes, _phi_grid(n_a), _phi_grid(n_b))
-    assert np.all(rows(0, n_a).min(axis=1) >= rows.bound - _BOUND_SLACK / 100)
+    holevo = _holevo_bound(bloch, planes[0], _phi_grid(n_a))
+    assert np.all(rows(0, n_a).min(axis=1) >= holevo - _BOUND_SLACK / 100)
 
 
-@pytest.mark.parametrize("bd", NAMED_TRIPLES[1:4], ids=str)
-def test_holevo_bound_is_tight_on_bell_diagonal_rows(bd):
-    # In the standard planes, T a lies in B's plane, so the best b of a row
-    # attains the bound: the seed row settles the search.
-    plane, phis = _laqc_plane(QubitBasis.standard()), _phi_grid(64)
-    rows = _laqc_rows(bloch_decompose(bell_diagonal_state(bd)), plane, plane, phis, phis)
-    least = rows(0, 64).min(axis=1)
-    assert np.abs(least - rows.bound)[[0, 16, 32, 48]].max() < 1e-14
+def _attained_cases(seed):
+    """(Bloch parameters, planes) pairs where the bound is attained, and where not."""
+    rng = np.random.default_rng(seed)
+    bell = [bloch_decompose(rho) for rho in STATES[:29]]  # y = 0, T diagonal
+    general = [bloch_decompose(rho) for rho in STATES[29:]]
+    mixed = [_without_b_vector(b, rng.uniform()) for b in general]
+    # Half a Bell-diagonal state, half rho_A (x) I/2 of a general state.
+    with_x = [BlochParams(0.5 * g.x, np.zeros(3), 0.5 * b.T) for g, b in zip(general, bell)]
+    std = [_laqc_plane(_STD)] * 2
+    attained = [(b, std) for b in bell + with_x]
+    loose = [(b, std) for b in general + mixed]
+    for b in bell[1:]:  # the first has T = 0, which every plane maps into every other
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        turn = q * np.sign(np.linalg.det(q))  # a rotation: a unitary on A
+        loose.append((BlochParams(b.x, b.y, turn @ b.T), std))
+        bases = rng.uniform((0.0, 0.0), (np.pi, 2.0 * np.pi), size=(2, 2))
+        loose.append((b, [_laqc_plane(local_qubit_basis(*tp)) for tp in bases]))
+    return attained, loose
+
+
+def test_laqc_bound_is_set_only_where_it_is_attained():
+    # The bound is set when y = 0 and T^T maps A's plane into B's: then it
+    # is every row's minimum. Bell-diagonal states in the standard bases,
+    # also with an x, have that; states with y != 0, a T turned out of the
+    # planes or random bases do not, and carry no bound.
+    attained, loose = _attained_cases(seed=3)
+    phis = _phi_grid(64)
+    for bloch, planes in attained:
+        rows = _laqc_rows(bloch, *planes, phis, phis)
+        assert rows.bound.tobytes() == _holevo_bound(bloch, planes[0], phis).tobytes()
+        least = rows(0, 64).min(axis=1)
+        assert np.abs(least - rows.bound)[[0, 16, 32, 48]].max() < 1e-14
+    for bloch, planes in loose:
+        assert not hasattr(_laqc_rows(bloch, *planes, phis, phis), "bound")
 
 
 @pytest.mark.parametrize("steps", [8, 13, 24, 40])
-def test_bounded_laqc_search_equals_unbounded_search(steps, monkeypatch):
-    # The Holevo bound only skips work: deleting it must not move a bit of
-    # any result, for Bell-diagonal and general states, in any bases.
-    rng = np.random.default_rng(steps)
-    cases = []
-    for rho in STATES[:10] + STATES[-10:]:
-        theta_phi = rng.uniform((0.0, 0.0), (np.pi, 2.0 * np.pi), size=(2, 2))
-        bases = tuple(local_qubit_basis(*tp) for tp in theta_phi)
-        cases += [(rho, (QubitBasis.standard(),) * 2), (rho, bases)]
-    grid = GridSpec(2, 2, steps)
-    bounded = [repr(maximize_laqc(rho, comp, grid)) for rho, comp in cases]
+def test_bounded_laqc_search_equals_unbounded_search(steps):
+    # The Holevo bound only skips work: a search with it, set on every
+    # state, also where it is loose, equals the search without it, bit for
+    # bit, on Bell-diagonal, y = 0 and full-rank states in any bases.
+    attained, loose = _attained_cases(seed=steps)
+    cases = attained[::3] + loose[::3]
+    phis = _phi_grid(steps)
     evaluate = oracle._laqc_rows
 
-    def unbounded(*args):
-        rows = evaluate(*args)
-        del rows.bound
-        return rows
+    def search(bloch, planes, bounded):
+        def table(phi_a, phi_b):
+            rows = evaluate(bloch, *planes, phi_a, phi_b)
+            if bounded:
+                rows.bound = _holevo_bound(bloch, planes[0], phi_a)
+            elif hasattr(rows, "bound"):
+                del rows.bound
+            return rows
 
-    monkeypatch.setattr(oracle, "_laqc_rows", unbounded)
-    assert [repr(maximize_laqc(rho, comp, grid)) for rho, comp in cases] == bounded
+        return repr(_grid_search((phis, phis), (oracle._PHI_BOUNDS,) * 2, 1, table, refine=True))
+
+    assert [search(b, p, True) for b, p in cases] == [search(b, p, False) for b, p in cases]
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,5 @@ def test_tracer_sees_verify_after_the_parser_is_built(capsys):
     assert calls["cli.cmd_verify"] == 1
     for name in spans.LAYERS["oracle"]:
         assert calls[f"oracle.{name}"] == 1, name
-    # Two plane axes, shared by both sides as they share the standard basis,
-    # then the two bases of the reported optimum.
-    assert calls["bases.complementary_qubit_basis"] == 4
+    # Two plane axes per side, then the two bases of the reported optimum.
+    assert calls["bases.complementary_qubit_basis"] == 6
