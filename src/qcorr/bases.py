@@ -97,14 +97,18 @@ class QubitBasis:
     def __post_init__(self):
         k0 = np.asarray(self.ket0, dtype=complex).reshape(2)
         k1 = np.asarray(self.ket1, dtype=complex).reshape(2)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite grams fail below
-            gram = np.array(
-                [
-                    [k0.conj() @ k0, k0.conj() @ k1],
-                    [k1.conj() @ k0, k1.conj() @ k1],
-                ]
-            )
-        if not np.abs(gram - np.eye(2)).max() <= ORTHONORMALITY_TOL:  # also rejects NaN
+        # The Gram defect in plain Python: <k1|k0> is the conjugate of <k0|k1>.
+        (a, b), (c, d) = k0.tolist(), k1.tolist()
+        defect = (
+            a.conjugate() * a + b.conjugate() * b - 1.0,
+            a.conjugate() * c + b.conjugate() * d,
+            c.conjugate() * c + d.conjugate() * d - 1.0,
+        )
+        try:  # abs() overflows on huge entries; NaN fails the comparison
+            ok = all(abs(g) <= ORTHONORMALITY_TOL for g in defect)
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError("basis vectors are not orthonormal")
         k0.flags.writeable = False
         k1.flags.writeable = False

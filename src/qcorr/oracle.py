@@ -69,7 +69,10 @@ whatever run of rows the scan fetches it.
 The value finally reported is recomputed at the winning angles through
 the explicit ket route, so the search path never fabricates the answer.
 Oracles compare against closed forms but never overwrite them:
-disagreement is surfaced as a recorded gap.
+disagreement is surfaced as a recorded gap. They check their matrix through
+a one-entry memo keyed on its bytes (:func:`_checked`), so an audit's three
+oracles validate and decompose one matrix once; the angle grids, Bloch axes
+and LAQC planes are built once per process, cached by size or bytes.
 """
 
 from __future__ import annotations
@@ -178,12 +181,19 @@ def _clamp_theta(theta: float) -> float:
     return min(max(float(theta), 0.0), math.pi)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
 def _theta_grid(steps: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi, steps)
+    return _frozen(np.linspace(0.0, math.pi, steps))
 
 
+@functools.lru_cache(maxsize=16)
 def _phi_grid(steps: int) -> np.ndarray:
-    return np.linspace(0.0, _TWO_PI, steps, endpoint=False)
+    return _frozen(np.linspace(0.0, _TWO_PI, steps, endpoint=False))
 
 
 def _search_thetas(grid: GridSpec) -> np.ndarray:
@@ -214,9 +224,7 @@ def _bloch_axes_of(theta_bytes: bytes, phi_bytes: bytes) -> np.ndarray:
     tt = np.repeat(thetas, phis.size)
     pp = np.tile(phis, thetas.size)
     st = np.sin(tt)
-    axes = np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt)))
-    axes.flags.writeable = False
-    return axes
+    return _frozen(np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt))))
 
 
 def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
@@ -255,7 +263,7 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
                 return
             # The seed row alone, or the first run of consecutive live rows.
             lo = live[0]
-            hi = lo + 1 if seed else live[np.argmax(np.diff(live, append=n_rows + 1) > 1)] + 1
+            hi = lo + (1 if seed else np.count_nonzero(live == lo + np.arange(live.size)))
             block = rows(lo, hi)
             least = floor[lo:hi] = block.min(axis=1)
             evaluated[lo:hi] = True
@@ -296,13 +304,11 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     """
     best, value = _scan(grids, n_row_angles, table, stop_early=True)
     if refine:
-        windows = tuple(
-            np.linspace(
-                max(lower, center - (g[1] - g[0])),
-                min(upper, center + (g[1] - g[0])),
-                _REFINE_POINTS,
-            )
-            for g, center, (lower, upper) in zip(grids, best, bounds)
+        # A row per angle; no window is empty, so each row is bitwise its own linspace.
+        cell = np.array([g[1] - g[0] for g in grids])
+        lower, upper = np.array(bounds).T
+        windows = np.linspace(
+            np.maximum(lower, best - cell), np.minimum(upper, best + cell), _REFINE_POINTS, axis=1
         )
         found = _scan(windows, n_row_angles, table, below=value - TIE_TOL)
         if found is not None and found[1] < value - TIE_TOL:
@@ -377,11 +383,25 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     return rows
 
 
-def _result(bloch: BlochParams, angles, objective, closed_form) -> OracleResult:
-    """Pair the search outcome with closed_form(triple) if the state is Bell diagonal."""
-    if not bloch.is_bell_diagonal():
+def _checked(rho) -> tuple[np.ndarray, BlochParams, BellDiagonalParams | None]:
+    """(rho validated and read-only, its Bloch parameters, its triple or None off the
+    Bell-diagonal family), keyed by content: a matrix changed since is checked again."""
+    m = np.asarray(rho, dtype=complex)
+    return _checked_of(m.shape, m.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _checked_of(shape, data):
+    rho = validate_density(np.frombuffer(data, dtype=complex).reshape(shape))
+    bloch = bloch_decompose(rho)
+    return rho, bloch, bloch.diagonal_correlations() if bloch.is_bell_diagonal() else None
+
+
+def _result(triple, angles, objective, closed_form) -> OracleResult:
+    """Pair the search outcome with closed_form(triple), if there is a triple."""
+    if triple is None:
         return OracleResult(angles, objective, None, None)
-    value = closed_form(bloch.diagonal_correlations())
+    value = closed_form(triple)
     return OracleResult(angles, objective, value, objective - value)
 
 
@@ -394,8 +414,7 @@ def minimize_relative_entropy_basis(
     at the minimizing basis, which is the classical-correlations estimate
     the closed form f(c_min) is checked against.
     """
-    rho = validate_density(rho)
-    bloch = bloch_decompose(rho)
+    rho, bloch, triple = _checked(rho)
     thetas = _search_thetas(grid)
     phis = _phi_grid(grid.steps_phi)
     best = _grid_search(
@@ -414,13 +433,19 @@ def minimize_relative_entropy_basis(
     mi = correlations.mutual_information(
         joint_projective_distribution(rho, *local_basis_pair(angles))
     )
-    return _result(bloch, angles, mi, correlations.classical_correlations_bd)
+    return _result(triple, angles, mi, correlations.classical_correlations_bd)
 
 
 def _laqc_plane(computational: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(e1, e2): the Bloch axes of the complementary basis at phi = 0 and
-    pi/2, which span the plane its axis turns in as phi moves."""
-    return tuple(complementary_qubit_basis(p, computational).axis() for p in (0.0, math.pi / 2))
+    """(e1, e2), read-only and cached by the kets: the complementary basis' Bloch
+    axes at phi = 0 and pi/2, which span the plane its axis turns in as phi moves."""
+    return _laqc_plane_of(computational.ket0.tobytes() + computational.ket1.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _laqc_plane_of(kets: bytes) -> tuple[np.ndarray, np.ndarray]:
+    basis = QubitBasis(*np.frombuffer(kets, dtype=complex).reshape(2, 2))
+    return tuple(_frozen(complementary_qubit_basis(p, basis).axis()) for p in (0.0, math.pi / 2))
 
 
 def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
@@ -443,12 +468,14 @@ def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
         e = xlog2(t[:8], out=t[8:])
         return e[4:].sum(axis=0) - e[:4].sum(axis=0)  # each adds its layers in order
 
-    # Holevo: for every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s).
-    # With y = 0, S(rho_B) = 1 and rho_B|s lie along +-T^T a: measuring B along
-    # T^T a attains it, on every row if T^T maps A's plane into B's (Bell-diagonal
-    # states in the standard bases). Elsewhere it costs more than it skips.
-    leak = np.array(plane_a) @ bloch.T @ np.cross(*plane_b)
-    if not bloch.y.any() and np.abs(leak).max() <= TIE_TOL:
+    # Holevo: for every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s), and
+    # S(rho_B) = h((1 + |y|) / 2) <= 1, which it rounds to for |y| <= TIE_TOL. Then
+    # rho_B|s lie along +-T^T a to within TIE_TOL: measuring B along T^T a attains it, on
+    # every row if T^T maps A's plane into B's (Bell-diagonal states in the standard
+    # bases). Elsewhere it costs more than it skips.
+    (a0, a1, a2), (b0, b1, b2) = plane_b[0].tolist(), plane_b[1].tolist()
+    leak = np.array(plane_a) @ bloch.T @ (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if np.abs(bloch.y).max() <= TIE_TOL and np.abs(leak).max() <= TIE_TOL:
         rows.bound = _conditional_entropy(bloch, axes_a) - 1.0
     return rows
 
@@ -463,8 +490,7 @@ def maximize_laqc(
     pair = computational if isinstance(computational, (tuple, list)) else ()
     if len(pair) != 2 or not all(isinstance(b, QubitBasis) for b in pair):
         raise ValueError(f"computational must be a pair of QubitBasis, got {computational!r}")
-    rho = validate_density(rho)
-    bloch = bloch_decompose(rho)
+    rho, bloch, triple = _checked(rho)
     comp_a, comp_b = computational
     phis = _phi_grid(grid.steps_comp_phi)
     best = _grid_search(
@@ -482,7 +508,7 @@ def maximize_laqc(
             complementary_qubit_basis(angles.phi_b, comp_b),
         )
     )
-    return _result(bloch, angles, objective, correlations.laqc_bd)
+    return _result(triple, angles, objective, correlations.laqc_bd)
 
 
 def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
@@ -511,9 +537,7 @@ def _conditional_entropy_of(bloch: BlochParams, thetas, phis) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _conditional_entropy_table(x, y, t, theta_bytes, phi_bytes) -> np.ndarray:
     bloch = BlochParams(np.frombuffer(x), np.frombuffer(y), np.frombuffer(t).reshape(3, 3))
-    table = _conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes))
-    table.flags.writeable = False
-    return table
+    return _frozen(_conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes)))
 
 
 def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
@@ -522,11 +546,12 @@ def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
     return lambda lo, hi: table[lo:hi]
 
 
-def _entropy(rho: np.ndarray) -> float:
+def _entropy(rho: np.ndarray) -> np.ndarray:
     # von_neumann_entropy without its spectrum check, for states derived from
     # a validated rho: a partial trace adds two blocks' rounding below 0, and
-    # dividing by an outcome weight scales it, past -PSD_TOL.
-    return float(-xlog2(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))).sum())
+    # dividing by an outcome weight scales it, past -PSD_TOL. A stack is solved
+    # in one call, each matrix to the bits of its own call.
+    return -xlog2(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))).sum(axis=-1)
 
 
 def _projector_on_a(ket: np.ndarray) -> np.ndarray:
@@ -535,24 +560,27 @@ def _projector_on_a(ket: np.ndarray) -> np.ndarray:
 
 
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
-    """Discord objective at one measurement basis via explicit projectors."""
-    s_b = _entropy(partial_trace(rho, "B"))  # it cancels, but dropping it moves bits
-    total = _entropy(partial_trace(rho, "A")) + s_b - _entropy(rho)
-    cond = 0.0
+    """Discord objective at one measurement basis via explicit projectors,
+    from two eigensolves: the stack [rho_B, rho_A, tau_s of each outcome seen] and rho."""
+    outcomes = []  # (p_s, tau_s)
     for ket in local_qubit_basis(theta, phi).kets:
         proj = _projector_on_a(ket)
         weight = float(np.trace(proj @ rho).real)
         if weight > 1e-14:
-            tau = partial_trace(proj @ rho @ proj, "B") / weight
-            cond += weight * _entropy(tau)
+            outcomes.append((weight, partial_trace(proj @ rho @ proj, "B") / weight))
+    reduced = [partial_trace(rho, "B"), partial_trace(rho, "A"), *(tau for _, tau in outcomes)]
+    s_b, s_a, *s_tau = _entropy(np.stack(reduced)).tolist()
+    total = s_a + s_b - float(_entropy(rho))  # S(rho_B) cancels, but dropping it moves bits
+    cond = 0.0
+    for (weight, _), s in zip(outcomes, s_tau):
+        cond += weight * s
     return total - (s_b - cond)
 
 
 def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleResult:
     """Minimize I(rho) - [S(rho_B) - sum_i p_i S(rho_B|i)] over projective
     measurements on A parametrized by (theta_a, phi_a)."""
-    rho = validate_density(rho)
-    bloch = bloch_decompose(rho)
+    rho, bloch, triple = _checked(rho)
     best = _grid_search(
         (_search_thetas(grid), _phi_grid(grid.steps_phi)),
         (_THETA_BOUNDS, _PHI_BOUNDS),
@@ -562,7 +590,7 @@ def brute_force_discord(rho: np.ndarray, grid: GridSpec = GridSpec()) -> OracleR
     )
     angles = LocalBasisAngles(_clamp_theta(best[0]), _wrap_phase(best[1]), 0.0, 0.0)
     objective = _measured_discord_at(rho, angles.theta_a, angles.phi_a)
-    return _result(bloch, angles, objective, correlations.discord_bd)
+    return _result(triple, angles, objective, correlations.discord_bd)
 
 
 def audit_closed_forms(params, grid: GridSpec = GridSpec()) -> ClosedFormAudit:

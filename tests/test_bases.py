@@ -56,6 +56,37 @@ class TestLocalQubitBasis:
         with pytest.raises(ValueError):
             QubitBasis(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "ket0, ket1",
+        [
+            ([math.nan, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [0.0, math.nan]),
+            ([1.0, 0.0], [complex(0.0, math.nan), 1.0]),
+            ([math.inf, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [0.0, -math.inf]),
+            ([1e200, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [1e200, 1e200j]),
+            # <k0|k1> is finite, but its modulus overflows a float.
+            ([1.0, 0.0], [1.5e308 + 1.5e308j, 0.0]),
+            ([1.0, 0.0], [SQ2, SQ2]),
+            ([1.0, 1e-5], [0.0, 1.0]),
+        ],
+        ids=[
+            "nan", "nan-late", "nan-imag", "inf", "minus-inf", "1e200",
+            "1e200-late", "overflowing-modulus", "not-orthogonal", "not-normalized",
+        ],
+    )
+    def test_rejects_each_bad_pair_with_one_message(self, ket0, ket1):
+        with pytest.raises(ValueError, match="^basis vectors are not orthonormal$"):
+            QubitBasis(np.array(ket0), np.array(ket1))
+
+    def test_accepts_every_basis_built_on_the_64_step_grids(self):
+        thetas, phis = np.linspace(0.0, math.pi, 64), np.linspace(0.0, 2 * math.pi, 64, False)
+        local = [local_qubit_basis(t, p) for t in thetas for p in phis]
+        for computational in [QubitBasis.standard()] + local[::61]:
+            for phi in phis:
+                complementary_qubit_basis(phi, computational)
+
 
 class TestComplementaryBasis:
     def test_zero_phase_over_standard_is_x_basis(self):

@@ -28,7 +28,16 @@ from qcorr.oracle import (
     maximize_laqc,
     minimize_relative_entropy_basis,
 )
-from qcorr.qstate import bell_diagonal_state, bloch_decompose, relative_entropy, werner_state
+from qcorr.cli import main
+from qcorr.qstate import (
+    InvalidStateError,
+    bell_diagonal_state,
+    bloch_decompose,
+    partial_trace,
+    relative_entropy,
+    werner_state,
+    xlog2,
+)
 
 # Small grids keep the unit tests quick; the acceptance suite runs the
 # full 64-step searches.
@@ -193,7 +202,9 @@ class TestAudit:
         assert abs(audit.discord.gap) <= 1e-4
 
     def test_each_oracle_decomposes_its_state_once(self, monkeypatch):
-        # The closed form is read off the Bloch parameters the search used.
+        # The three oracles of an audit share one check of its matrix, and
+        # each closed form is read off the Bloch parameters the search used.
+        oracle._checked_of.cache_clear()
         calls = []
 
         def counting(rho):
@@ -202,7 +213,7 @@ class TestAudit:
 
         monkeypatch.setattr(oracle, "bloch_decompose", counting)
         audit = audit_closed_forms((0.7, -0.3, 0.5), SMALL)
-        assert len(calls) == 3
+        assert len(calls) == 1
         assert audit.classical.closed_form is not None
 
     def test_exchange_symmetry_of_inputs(self):
@@ -245,20 +256,92 @@ def test_discord_accepts_a_state_at_the_positivity_tolerance():
     assert brute_force_discord(rho, SMALL).objective == pytest.approx(0.0, abs=1e-7)
 
 
+def _five_solve_discord(rho, theta, phi):
+    """The discord objective with one eigensolve per entropy: the reference."""
+
+    def entropy(m):
+        return float(-xlog2(np.linalg.eigvalsh(m)).sum())
+
+    s_b = entropy(partial_trace(rho, "B"))
+    total = entropy(partial_trace(rho, "A")) + s_b - entropy(rho)
+    cond = 0.0
+    for ket in local_qubit_basis(theta, phi).kets:
+        proj = oracle._projector_on_a(ket)
+        weight = float(np.trace(proj @ rho).real)
+        if weight > 1e-14:
+            cond += weight * entropy(partial_trace(proj @ rho @ proj, "B") / weight)
+    return total - (s_b - cond)
+
+
 def test_discord_objective_solves_five_entropies(monkeypatch):
-    # S(rho_A), S(rho_B) and S(rho), then one per outcome of the measurement
-    # on A: S(rho_B) is solved once and used in both places it appears.
+    # S(rho_B), S(rho_A) and one entropy per outcome of the measurement on A
+    # in one LAPACK call, S(rho) in another, to the bits of one call each.
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    states = [bell_diagonal_state((0.7, -0.3, 0.5)), g @ g.conj().T / np.trace(g @ g.conj().T)]
+    states.append(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))  # outcome - is never seen
+    angles = [(0.4, 1.1), (0.0, 0.0), (np.pi, 0.0), (2.3, 5.9)]
+    expected = [_five_solve_discord(rho, *a) for rho in states for a in angles]
     calls = []
-    entropy = oracle._entropy
+    solve = np.linalg.eigvalsh
 
-    def counting(rho):
-        calls.append(1)
-        return entropy(rho)
+    def counting(m):
+        calls.append(np.shape(m))
+        return solve(m)
 
-    monkeypatch.setattr(oracle, "_entropy", counting)
-    value = oracle._measured_discord_at(bell_diagonal_state((0.7, -0.3, 0.5)), 0.4, 1.1)
-    assert len(calls) == 5
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    value = oracle._measured_discord_at(states[0], 0.4, 1.1)
+    assert calls == [(4, 2, 2), (4, 4)]
     assert value > 0.0
+    got = [oracle._measured_discord_at(rho, *a) for rho in states for a in angles]
+    assert [type(v) for v in got] == [float] * len(got)
+    assert repr(got) == repr(expected)
+
+
+def _laqc(rho, grid):
+    return maximize_laqc(rho, STANDARD_PAIR, grid)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [minimize_relative_entropy_basis, _laqc, brute_force_discord],
+    ids=["classical", "laqc", "discord"],
+)
+def test_oracles_check_a_matrix_changed_after_a_call(search):
+    # The check is memoized by the matrix's content, not by the array object.
+    rho = np.array(bell_diagonal_state((0.7, -0.3, 0.5)))
+    assert rho.flags.writeable
+    search(rho, SMALL)
+    rho[...] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(InvalidStateError, match="positivity"):
+        search(rho, SMALL)
+
+
+def test_checked_state_is_read_only_and_leaves_the_input_alone():
+    rho = np.array(bell_diagonal_state((0.6, -0.2, 0.3)))
+    checked, bloch, triple = oracle._checked(rho)
+    assert checked is not rho and rho.flags.writeable
+    assert checked.tobytes() == rho.tobytes()
+    for a in (checked, bloch.x, bloch.y, bloch.T):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+    assert triple.as_tuple() == tuple(np.diag(bloch.T).tolist())
+    assert oracle._checked(rho.copy()) is oracle._checked(rho)
+    general = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    assert oracle._checked(general)[2] is None
+
+
+def test_check_memo_holds_one_state_and_serves_each_audit(capsys):
+    # One entry: an audit's three oracles share it, and no state outlives the next.
+    info = oracle._checked_of.cache_info
+    before = info()
+    rng = np.random.default_rng(23)
+    for c in rng.uniform(-1.0 / 3.0, 1.0 / 3.0, size=(30, 3)):  # sum |c_i| <= 1: physical
+        assert main(["verify", "--steps=8", "--bd=" + ",".join(map(repr, c.tolist()))]) in (0, 3)
+    capsys.readouterr()
+    after = info()
+    assert after.maxsize == 1 and after.currsize <= 1
+    assert (after.misses - before.misses, after.hits - before.hits) == (30, 60)
 
 
 _STD = QubitBasis.standard()

@@ -44,7 +44,14 @@ from qcorr.oracle import (
     maximize_laqc,
     minimize_relative_entropy_basis,
 )
-from qcorr.qstate import BlochParams, bell_diagonal_state, bloch_decompose, werner_state, xlog2
+from qcorr.qstate import (
+    BlochParams,
+    bell_diagonal_state,
+    bloch_compose,
+    bloch_decompose,
+    werner_state,
+    xlog2,
+)
 
 DATA = Path(__file__).parent / "data"
 _STD = QubitBasis.standard()
@@ -421,10 +428,10 @@ def _attained_cases(seed):
 
 
 def test_laqc_bound_is_set_only_where_it_is_attained():
-    # The bound is set when y = 0 and T^T maps A's plane into B's: then it
-    # is every row's minimum. Bell-diagonal states in the standard bases,
-    # also with an x, have that; states with y != 0, a T turned out of the
-    # planes or random bases do not, and carry no bound.
+    # The bound is set when y = 0 to within TIE_TOL and T^T maps A's plane
+    # into B's: then it is every row's minimum. Bell-diagonal states in the
+    # standard bases, also with an x, have that; states with a larger y, a T
+    # turned out of the planes or random bases do not, and carry no bound.
     attained, loose = _attained_cases(seed=3)
     phis = _phi_grid(64)
     for bloch, planes in attained:
@@ -436,6 +443,20 @@ def test_laqc_bound_is_set_only_where_it_is_attained():
         assert not hasattr(_laqc_rows(bloch, *planes, phis, phis), "bound")
 
 
+def _laqc_search(bloch, planes, phis, bounded):
+    """repr of the LAQC grid search with the Holevo bound set on every table, or on none."""
+
+    def table(phi_a, phi_b):
+        rows = _laqc_rows(bloch, *planes, phi_a, phi_b)
+        if bounded:
+            rows.bound = _holevo_bound(bloch, planes[0], phi_a)
+        elif hasattr(rows, "bound"):
+            del rows.bound
+        return rows
+
+    return repr(_grid_search((phis, phis), (oracle._PHI_BOUNDS,) * 2, 1, table, refine=True))
+
+
 @pytest.mark.parametrize("steps", [8, 13, 24, 40])
 def test_bounded_laqc_search_equals_unbounded_search(steps):
     # The Holevo bound only skips work: a search with it, set on every
@@ -444,20 +465,41 @@ def test_bounded_laqc_search_equals_unbounded_search(steps):
     attained, loose = _attained_cases(seed=steps)
     cases = attained[::3] + loose[::3]
     phis = _phi_grid(steps)
-    evaluate = oracle._laqc_rows
+    assert [_laqc_search(b, p, phis, True) for b, p in cases] == [
+        _laqc_search(b, p, phis, False) for b, p in cases
+    ]
 
-    def search(bloch, planes, bounded):
-        def table(phi_a, phi_b):
-            rows = evaluate(bloch, *planes, phi_a, phi_b)
-            if bounded:
-                rows.bound = _holevo_bound(bloch, planes[0], phi_a)
-            elif hasattr(rows, "bound"):
-                del rows.bound
-            return rows
 
-        return repr(_grid_search((phis, phis), (oracle._PHI_BOUNDS,) * 2, 1, table, refine=True))
+def test_reduced_entropy_rounds_to_one_inside_the_gate():
+    # The bound subtracts 1 for S(rho_B) = h((1 + |y|) / 2): exact wherever the gate opens.
+    y = np.concatenate((np.geomspace(1e-300, TIE_TOL, 4001), np.linspace(0.0, TIE_TOL, 4001)))
+    lam = 0.5 * (1.0 + y)
+    assert np.all(-xlog2(lam) - xlog2(1.0 - lam) == 1.0)
 
-    assert [search(b, p, True) for b, p in cases] == [search(b, p, False) for b, p in cases]
+
+def test_laqc_bound_is_set_on_rounding_residue_in_y():
+    # States y-free in exact arithmetic keep rounding residue in y once built
+    # by bloch_compose: rho_A (x) I/2 mixed into a Bell-diagonal state. The
+    # gate allows |y| up to TIE_TOL, where S(rho_B) rounds to 1, so the bound
+    # is set on each, lies under every row and leaves the search as is.
+    rng = np.random.default_rng(46)
+    std, phis = [_laqc_plane(_STD)] * 2, _phi_grid(24)
+    residue = []
+    for _ in range(200):
+        x, w = bloch_decompose(_full_rank(rng)).x, rng.uniform()
+        c = np.diag(bloch_decompose(STATES[rng.integers(29)]).T)
+        mixed = BlochParams(w * x, np.zeros(3), (1.0 - w) * np.diag(c))
+        bloch = bloch_decompose(bloch_compose(mixed))
+        if bloch.y.any():
+            residue.append(bloch)
+    assert len(residue) >= 50
+    for bloch in residue:
+        assert 0.0 < np.abs(bloch.y).max() <= TIE_TOL
+        rows = _laqc_rows(bloch, *std, phis, phis)
+        assert rows.bound.tobytes() == _holevo_bound(bloch, std[0], phis).tobytes()
+        assert np.all(rows(0, phis.size).min(axis=1) >= rows.bound - _BOUND_SLACK)
+    for bloch in residue[::4]:
+        assert _laqc_search(bloch, std, phis, True) == _laqc_search(bloch, std, phis, False)
 
 
 @pytest.mark.parametrize(

@@ -209,5 +209,25 @@ def test_tracer_sees_verify_after_the_parser_is_built(capsys):
     assert calls["cli.cmd_verify"] == 1
     for name in spans.LAYERS["oracle"]:
         assert calls[f"oracle.{name}"] == 1, name
-    # Two plane axes per side, then the two bases of the reported optimum.
-    assert calls["bases.complementary_qubit_basis"] == 6
+    # The LAQC planes are cached; only the two bases of the reported optimum are built.
+    assert calls["bases.complementary_qubit_basis"] == 2
+
+
+def test_tracer_sees_one_check_per_verify(capsys):
+    # bell_diagonal_state validates the matrix it builds, and the oracles
+    # share one validation and one decomposition of it, still one span each.
+    _verify("--werner=0.5", "--steps", "8")
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _verify("--bd=0.7,-0.3,0.5", "--steps", "8")  # a state the memo has not seen
+    finally:
+        tracer.uninstall()
+    tracer.absorb()
+    calls = dict(zip(spans.SPAN_NAMES, tracer.calls.tolist()))
+    assert calls["qstate.validate_density"] == 2
+    assert calls["qstate.bloch_decompose"] == 1
+    assert calls["qstate.bell_diagonal_state"] == 1
+    for name in spans.LAYERS["oracle"]:
+        assert calls[f"oracle.{name}"] == 1, name
