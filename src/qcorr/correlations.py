@@ -30,6 +30,7 @@ from .qstate import (
     _bell_diagonal_matrix,
     _check_unit,
     as_bell_params,
+    validate_density,
     xlog2,
 )
 
@@ -140,12 +141,18 @@ def concurrence(rho: np.ndarray) -> float:
     The l_k are the decreasing square roots of the spectrum of
     rho (sy(x)sy) rho* (sy(x)sy), computed through the Hermitian
     equivalent sqrt(rho) rho~ sqrt(rho), with the spin flip rho~ taken as
-    a signed permutation of rho*. A stack of states (shape (..., 4, 4))
-    gives an array of shape (...); any other shape raises ValueError.
+    a signed permutation of rho*. A stack of states (shape (..., 4, 4)) gives
+    an array of shape (...); any other shape raises ValueError, a non-physical
+    state InvalidStateError.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs 4x4 two-qubit states, got shape {rho.shape}")
+    return _concurrence(validate_density(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    """:func:`concurrence` of 4x4 matrices, unchecked."""
     w, v = np.linalg.eigh(rho)
     sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     flipped = rho.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
@@ -173,7 +180,7 @@ def _concurrence_bd(p: BellDiagonalParams) -> float:
     out = np.zeros(fields[0].size)
     for lo in range(0, live.size, _BLOCK_TRIPLES):
         rows = live[lo : lo + _BLOCK_TRIPLES]
-        out[rows] = concurrence(_bell_diagonal_matrix(*(c[rows] for c in fields)))
+        out[rows] = _concurrence(_bell_diagonal_matrix(*(c[rows] for c in fields)))
     return out.reshape(np.shape(p.c1))[()]
 
 

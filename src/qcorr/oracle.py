@@ -38,8 +38,9 @@ the minimum lies in [L, U], and:
   nor a tie, so a chunk evaluates only its runs of consecutive live rows,
   those neither so ruled out nor evaluated yet, each against U as the
   runs before it left it. The first chunk first evaluates its seed row,
-  its first within TIE_TOL of its smallest LB. A table without a bound,
-  the discord table always, has every row live;
+  its first within TIE_TOL of its smallest LB. A table without a bound
+  (discord; LAQC off its gate) has every row live and, one chunk at most
+  here, is evaluated in one run;
 * early stop, tested after the seed row and after the first chunk: take
   the first row not shown above U + TIE_TOL by its minimum or LB - eps.
   Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
@@ -62,17 +63,14 @@ those searches then scan the whole theta grid (:func:`_search_thetas`).
 The LAQC search scans its whole grid.
 
 Every grid evaluator runs on the Bloch parametrization of projectors
-(p = (1/4)[1 + s a.x + t b.y + st a.T.b]), which is exact for any state;
-the two-sided outcome tables come from one kernel (:func:`_outcome_rows`).
-Each evaluator forms its table row by row, so a row has the same bits in
-whatever run of rows the scan fetches it.
-The value finally reported is recomputed at the winning angles through
-the explicit ket route, so the search path never fabricates the answer.
-Oracles compare against closed forms but never overwrite them:
-disagreement is surfaced as a recorded gap. They check their matrix through
-a one-entry memo keyed on its bytes (:func:`_checked`), so an audit's three
-oracles validate and decompose one matrix once; the angle grids, Bloch axes
-and LAQC planes are built once per process, cached by size or bytes.
+(p = (1/4)[1 + s a.x + t b.y + st a.T.b]), exact for any state, through one
+kernel (:func:`_outcome_rows`) that forms its tables only once a row is
+fetched, and row by row, so a row has the same bits in any run. The value
+reported is recomputed at the winning angles through the explicit ket
+route, so the search never fabricates the answer; a disagreement with the
+closed form is recorded as a gap, never overwritten. An audit's oracles
+share one check and decomposition of its matrix (:func:`_checked`); grids,
+axes and planes are cached per process by size or bytes.
 """
 
 from __future__ import annotations
@@ -97,9 +95,9 @@ from .bases import (
 from .qstate import (
     BellDiagonalParams,
     BlochParams,
+    _bloch_decompose,
     as_bell_params,
     bell_diagonal_state,
-    bloch_decompose,
     partial_trace,
     validate_density,
     xlog2,
@@ -120,6 +118,7 @@ _TWO_PI = 2.0 * math.pi
 # Refinement window: +-1 coarse cell sampled at 10x resolution.
 _REFINE_POINTS = 21
 _CHUNK_ROWS = 128
+_RUN_BYTES = 4_000_000  # under numpy's 4 MiB huge-page threshold
 # Slack under a row's entropy bound: rounding puts an entry at most a few
 # 1e-15 below it, pure states included, and TIE_TOL is 100 times larger.
 _BOUND_SLACK = 1e-12
@@ -238,13 +237,17 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     entry at or above ``below``. Only with ``stop_early`` may the value
     returned, the smallest entry evaluated, sit above the minimum (by up
     to TIE_TOL). The chunks and their runs of live rows are evaluated in
-    turn on the calling thread.
+    turn on the calling thread, a bound-less table of one chunk as one run.
     """
     shape = tuple(g.size for g in grids)
     n_rows = math.prod(shape[:n_row_angles])
     rows = table(*grids)
+    if not hasattr(rows, "bound") and n_rows <= _CHUNK_ROWS:
+        block = rows(0, n_rows)
+        idx = np.unravel_index(int((block <= block.min() + TIE_TOL).argmax()), shape)
+        return tuple(g[i] for g, i in zip(grids, idx)), block.min()
     # A lower bound on each row's minimum, replaced by the minimum once evaluated.
-    floor = np.full(n_rows, getattr(rows, "bound", -math.inf)) - _BOUND_SLACK
+    floor = (rows.bound if hasattr(rows, "bound") else np.full(n_rows, -math.inf)) - _BOUND_SLACK
     if floor.min() >= below:
         return None
     chunk_floor = np.minimum.reduceat(floor, np.arange(0, n_rows, _CHUNK_ROWS))
@@ -258,7 +261,7 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
         while True:
             # Rows not evaluated yet within TIE_TOL of U, or for the seed of the chunk's floor.
             limit = (chunk_floor[chunk] if seed else kept[0]) + TIE_TOL
-            live = at.start + np.flatnonzero(~evaluated[at] & (floor[at] <= limit))
+            live = at.start + (~evaluated[at] & (floor[at] <= limit)).nonzero()[0]
             if not live.size:
                 return
             # The seed row alone, or the first run of consecutive live rows.
@@ -275,11 +278,11 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     def first_tie(low, high):
         """The first entry within TIE_TOL of every value in [low, high], where
         the minimum lies, or None when the evaluated rows cannot tell."""
-        row = int(np.argmax(floor <= high + TIE_TOL))
+        row = int((floor <= high + TIE_TOL).argmax())
         if not evaluated[row] or floor[row] > low + TIE_TOL:
             return None
         line = kept[2][row - kept[1].start] if row in kept[1] else rows(row, row + 1)[0]
-        col = int(np.argmax(line <= high + TIE_TOL))
+        col = int((line <= high + TIE_TOL).argmax())
         if line[col] > low + TIE_TOL:
             return None
         idx = np.unravel_index(row * line.size + col, shape)
@@ -304,13 +307,13 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     """
     best, value = _scan(grids, n_row_angles, table, stop_early=True)
     if refine:
-        # A row per angle; no window is empty, so each row is bitwise its own linspace.
+        # A column per angle, in np.linspace's arithmetic: bitwise its linspace, as none is empty.
         cell = np.array([g[1] - g[0] for g in grids])
         lower, upper = np.array(bounds).T
-        windows = np.linspace(
-            np.maximum(lower, best - cell), np.minimum(upper, best + cell), _REFINE_POINTS, axis=1
-        )
-        found = _scan(windows, n_row_angles, table, below=value - TIE_TOL)
+        lo, hi = np.maximum(lower, best - cell), np.minimum(upper, best + cell)
+        windows = np.arange(_REFINE_POINTS)[:, None] * ((hi - lo) / (_REFINE_POINTS - 1)) + lo
+        windows[-1] = hi
+        found = _scan(windows.T, n_row_angles, table, below=value - TIE_TOL)
         if found is not None and found[1] < value - TIE_TOL:
             if found[1] >= value - 2 * TIE_TOL:
                 # The early-stopped value may sit up to TIE_TOL above the minimum.
@@ -320,40 +323,50 @@ def _grid_search(grids, bounds, n_row_angles, table, refine):
     return best
 
 
-def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b: np.ndarray, depth: int):
-    """Outcome tables of local projective measurements along unit axes.
-
-    ``tables(lo, hi)`` returns a buffer grown to the longest run yet, as a
-    (depth, hi - lo, len(axes_b)) array the next call overwrites. Its first
-    four layers are the clipped p(s, t) of rows axes_a[lo:hi] in outcome
-    order (+,+), (+,-), (-,+), (-,-), each bitwise 0.25 * (1 + s xa + t yb
-    + (s t) k) left to right, with k formed row by row, so a row has the
-    same bits in any run. The rest, k's layer last, is the caller's scratch.
+def _outcome_rows(bloch: BlochParams, axes_a: np.ndarray, axes_b, depth: int, reduce):
+    """Row evaluator on the outcome tables of local projective measurements
+    along unit axes, axes_a on A by row and axes_b() on B by column, all but
+    axes_a formed on the first call. ``rows(lo, hi)`` zeroes a (hi - lo, n_b)
+    table, which ``reduce(t, out)`` fills run by run from t, (depth, run, n_b)
+    under _RUN_BYTES. Its first four layers are the clipped p(s, t) of the run's
+    rows in outcome order (+,+), (+,-), (-,+), (-,-), each bitwise 0.25 * (1 +
+    s xa + t yb + (s t) k) left to right, k formed row by row, so a row has the
+    same bits in any run; the rest, k's layer last, is scratch.
     """
-    # 1 + s xa per row and t yb per column, for s, t in outcome order.
-    one_sxa = 1.0 + np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * (axes_a @ bloch.x)[:, None]
-    t_yb = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None] * (axes_b @ bloch.y)
-    tb = bloch.T @ axes_b.T
-    buf = [np.empty(0)]
+    made = []  # 1 + s xa per row and t yb per column, for s, t in outcome order; T b; a buffer
 
-    def tables(lo: int, hi: int) -> np.ndarray:
-        size = depth * (hi - lo) * tb.shape[1]
-        if buf[0].size < size:
-            buf[0] = np.empty(size)
-        out = buf[0][:size].reshape(depth, hi - lo, tb.shape[1])
-        # einsum sums each entry's three products in order; a BLAS product's
-        # rounding may change with its row count.
-        k = np.einsum("ij,jk->ik", axes_a[lo:hi], tb, out=out[-1])
-        p = out[:4]
-        np.add(one_sxa[:, lo:hi], t_yb, out=p)
-        # (s t) k is +k for (+,+) and (-,-), else -k, and adding -k is subtracting k.
-        np.add(p[::3], k, out=p[::3])
-        np.subtract(p[1:3], k, out=p[1:3])
-        np.multiply(p, 0.25, out=p)
-        np.clip(p, 0.0, 1.0, out=p)
+    def rows(lo: int, hi: int) -> np.ndarray:
+        if not made:
+            b, s = axes_b(), np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+            t_yb = s[[0, 2, 1, 3]] * (b @ bloch.y)  # t is +1, -1, +1, -1
+            made[:] = 1.0 + s * (axes_a @ bloch.x)[:, None], t_yb, bloch.T @ b.T, np.empty(0)
+        one_sxa, t_yb, tb, buf = made
+        out = np.zeros((hi - lo, tb.shape[1]))
+        run = max(1, _RUN_BYTES // (8 * depth * tb.shape[1]))
+        for a in range(lo, hi, run):
+            z = min(a + run, hi)
+            if buf.size < depth * (z - a) * tb.shape[1]:
+                buf = made[3] = np.empty(depth * (z - a) * tb.shape[1])
+            t = buf[: depth * (z - a) * tb.shape[1]].reshape(depth, z - a, tb.shape[1])
+            # einsum sums each entry's three products in order; a BLAS product's
+            # rounding may change with its row count.
+            k = np.einsum("ij,jk->ik", axes_a[a:z], tb, out=t[-1])
+            p = t[:4]
+            np.add(one_sxa[:, a:z], t_yb, out=p)
+            # (s t) k is +k for (+,+) and (-,-), else -k, and adding -k is subtracting k.
+            np.add(p[::3], k, out=p[::3])
+            np.subtract(p[1:3], k, out=p[1:3])
+            np.multiply(p, 0.25, out=p)
+            np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)
+            reduce(t, out[a - lo : z - lo])
         return out
 
-    return tables
+    return rows
+
+
+def _plogp(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """xlog2 of p >= 0 into out, but -0.0 where p = 0: the rows' subtractions absorb it."""
+    return np.multiply(p, np.log2(np.maximum(p, 5e-324, out=out), out=out), out=out)
 
 
 def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
@@ -366,19 +379,16 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     less xlog2 of each outcome table in turn, each xlog2 into one scratch layer.
     ``rows.bound`` holds each row's entropy lower bound.
     """
+
+    def minus_entropy(t: np.ndarray, h: np.ndarray) -> None:
+        for p in t[:4]:
+            h -= _plogp(p, t[4])
+
     axes_a = _bloch_axes(theta_a, phi_a)
-    tables = _outcome_rows(bloch, axes_a, _bloch_axes(theta_b, phi_b), depth=5)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        *outcomes, scratch = tables(lo, hi)
-        h = np.zeros(scratch.shape)
-        for p in outcomes:
-            h -= xlog2(p, out=scratch)
-        return h
-
+    rows = _outcome_rows(bloch, axes_a, lambda: _bloch_axes(theta_b, phi_b), 5, minus_entropy)
     # H(A, B) = H(A) + sum_s p_s H(B | s), and no measurement on B has a
     # smaller entropy than the conditional state's von Neumann entropy.
-    p_a = np.clip(0.5 * (1.0 + axes_a @ bloch.x), 0.0, 1.0)
+    p_a = np.minimum(np.maximum(0.5 * (1.0 + axes_a @ bloch.x), 0.0), 1.0)
     rows.bound = _conditional_entropy_of(bloch, theta_a, phi_a) - xlog2(p_a) - xlog2(1.0 - p_a)
     return rows
 
@@ -393,7 +403,7 @@ def _checked(rho) -> tuple[np.ndarray, BlochParams, BellDiagonalParams | None]:
 @functools.lru_cache(maxsize=1)
 def _checked_of(shape, data):
     rho = validate_density(np.frombuffer(data, dtype=complex).reshape(shape))
-    bloch = bloch_decompose(rho)
+    bloch = _bloch_decompose(rho)
     return rho, bloch, bloch.diagonal_correlations() if bloch.is_bell_diagonal() else None
 
 
@@ -436,46 +446,54 @@ def minimize_relative_entropy_basis(
     return _result(triple, angles, mi, correlations.classical_correlations_bd)
 
 
-def _laqc_plane(computational: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
+def _laqc_plane(computational: QubitBasis) -> np.ndarray:
     """(e1, e2), read-only and cached by the kets: the complementary basis' Bloch
     axes at phi = 0 and pi/2, which span the plane its axis turns in as phi moves."""
     return _laqc_plane_of(computational.ket0.tobytes() + computational.ket1.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
-def _laqc_plane_of(kets: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _laqc_plane_of(kets: bytes) -> np.ndarray:
     basis = QubitBasis(*np.frombuffer(kets, dtype=complex).reshape(2, 2))
-    return tuple(_frozen(complementary_qubit_basis(p, basis).axis()) for p in (0.0, math.pi / 2))
+    axes = [complementary_qubit_basis(p, basis).axis() for p in (0.0, math.pi / 2)]
+    return _frozen(np.array(axes))
 
 
-def _laqc_rows(bloch: BlochParams, plane_a, plane_b, phi_a, phi_b):
+@functools.lru_cache(maxsize=8)
+def _plane_axes(phi_bytes: bytes, plane_bytes: bytes) -> np.ndarray:
+    """cos(phi) e1 + sin(phi) e2 for each phi in the plane (e1, e2), read-only, cached by bytes."""
+    phis, (e1, e2) = np.frombuffer(phi_bytes), np.frombuffer(plane_bytes).reshape(2, 3)
+    return _frozen(np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
+
+
+def _holevo_gate(bloch: BlochParams, plane_a, plane_b) -> bool:
+    """Whether every LAQC row attains Holevo's bound: I(A_a : B_b) <= S(rho_B) -
+    sum_s p_s S(rho_B | s) for every b, and S(rho_B) = h((1 + |y|) / 2) rounds to 1 for
+    |y| <= TIE_TOL. Then rho_B|s lie along +-T^T a, and measuring B along T^T a attains
+    it, on every row if T^T maps A's plane into B's (Bell-diagonal states in the
+    standard bases). Elsewhere the bound costs more than it skips."""
+    (a0, a1, a2), (b0, b1, b2) = plane_b.tolist()
+    leak = plane_a @ bloch.T @ (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    return bool(np.abs(bloch.y).max() <= TIE_TOL and np.abs(leak).max() <= TIE_TOL)
+
+
+def _laqc_rows(bloch: BlochParams, plane_a, plane_b, gated: bool, phi_a, phi_b):
     """Row evaluator of minus the mutual information of every (phi_a, phi_b)
     complementary-basis pair, the axes turning in the planes (e1, e2) of
-    :func:`_laqc_plane`. ``rows.bound``, set where it is attained, holds
-    each row's Holevo bound."""
+    :func:`_laqc_plane`. With ``gated``, :func:`_holevo_gate` of the planes,
+    ``rows.bound`` holds each row's Holevo bound."""
 
-    def axes(phis, plane):  # plane = (e1, e2)
-        return np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1]
-
-    axes_a = axes(phi_a, plane_a)
-    tables = _outcome_rows(bloch, axes_a, axes(phi_b, plane_b), depth=16)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        t = tables(lo, hi)
+    def minus_mutual_information(t: np.ndarray, out: np.ndarray) -> None:
         # The marginals pp + pm, mp + mm, pp + mp, pm + mm after the joint tables.
         np.add(t[0:4:2], t[1:4:2], out=t[4:6])
         np.add(t[0:2], t[2:4], out=t[6:8])
-        e = xlog2(t[:8], out=t[8:])
-        return e[4:].sum(axis=0) - e[:4].sum(axis=0)  # each adds its layers in order
+        e = _plogp(t[:8], t[8:])
+        np.subtract(e[4:].sum(axis=0), e[:4].sum(axis=0), out=out)  # each adds its layers in order
 
-    # Holevo: for every b, I(A_a : B_b) <= S(rho_B) - sum_s p_s S(rho_B | s), and
-    # S(rho_B) = h((1 + |y|) / 2) <= 1, which it rounds to for |y| <= TIE_TOL. Then
-    # rho_B|s lie along +-T^T a to within TIE_TOL: measuring B along T^T a attains it, on
-    # every row if T^T maps A's plane into B's (Bell-diagonal states in the standard
-    # bases). Elsewhere it costs more than it skips.
-    (a0, a1, a2), (b0, b1, b2) = plane_b[0].tolist(), plane_b[1].tolist()
-    leak = np.array(plane_a) @ bloch.T @ (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    if np.abs(bloch.y).max() <= TIE_TOL and np.abs(leak).max() <= TIE_TOL:
+    axes_a = _plane_axes(phi_a.tobytes(), plane_a.tobytes())
+    axes_b = functools.partial(_plane_axes, phi_b.tobytes(), plane_b.tobytes())
+    rows = _outcome_rows(bloch, axes_a, axes_b, 16, minus_mutual_information)
+    if gated:
         rows.bound = _conditional_entropy(bloch, axes_a) - 1.0
     return rows
 
@@ -493,11 +511,12 @@ def maximize_laqc(
     rho, bloch, triple = _checked(rho)
     comp_a, comp_b = computational
     phis = _phi_grid(grid.steps_comp_phi)
+    planes = _laqc_plane(comp_a), _laqc_plane(comp_b)
     best = _grid_search(
         (phis, phis),
         (_PHI_BOUNDS, _PHI_BOUNDS),
         1,
-        functools.partial(_laqc_rows, bloch, _laqc_plane(comp_a), _laqc_plane(comp_b)),
+        functools.partial(_laqc_rows, bloch, *planes, _holevo_gate(bloch, *planes)),
         refine=grid.refine,
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
@@ -513,16 +532,17 @@ def maximize_laqc(
 
 def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
     """sum_s p_s S(rho_B | s) for a measurement on A along each unit axis."""
-    s = np.array([[1.0], [-1.0]])
-    one_sxa = 1.0 + s * np.einsum("ij,j->i", axes, bloch.x)
+    # Rows s = +1, -1 of 1 + s a.x and of (1 + s a.x) r_s = y + s a.T by component, adding
+    # -v as subtracting v; at is einsum("ij,jk->ki", axes, T) to the bit, 4x faster.
+    xa = np.einsum("ij,j->i", axes, bloch.x)
+    one_sxa = np.stack((1.0 + xa, 1.0 - xa))
     p = 0.5 * one_sxa
     seen = p > 1e-14
-    # (1 + s a.x) r_s = y + s a.T by component, squares added as np.linalg.norm does
-    at = np.ascontiguousarray(np.einsum("ij,jk->ik", axes, bloch.T).T)
-    sq = np.square(bloch.y[:, None, None] + s * at[:, None, :])
+    at = np.einsum("ji,jk->ki", np.ascontiguousarray(axes.T), bloch.T)
+    sq = np.square(np.stack((bloch.y[:, None] + at, bloch.y[:, None] - at), axis=1))
     r = np.divide(np.sqrt(sq[0] + sq[1] + sq[2]), one_sxa, out=np.zeros(p.shape), where=seen)
     lam = 0.5 * (1.0 + np.minimum(r, 1.0))
-    plogp = xlog2(np.stack((lam, 1.0 - lam)))
+    plogp = _plogp(np.stack((lam, 1.0 - lam)), sq[:2])  # 0.0 + term[0] absorbs a -0.0
     term = np.multiply(p, -plogp[0] - plogp[1], out=np.zeros(p.shape), where=seen)
     return 0.0 + term[0] + term[1]
 
@@ -554,25 +574,25 @@ def _entropy(rho: np.ndarray) -> np.ndarray:
     return -xlog2(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))).sum(axis=-1)
 
 
-def _projector_on_a(ket: np.ndarray) -> np.ndarray:
-    """|ket><ket| (x) I: np.kron's own broadcast product, so its bits, signed zeros too."""
-    return (np.outer(ket, ket.conj())[:, None, :, None] * np.eye(2)[:, None, :]).reshape(4, 4)
+def _projector_on_a(kets: np.ndarray) -> np.ndarray:
+    """|ket><ket| (x) I per ket: np.kron's own broadcast product, so its bits, signed zeros too."""
+    outer = kets[..., :, None] * kets.conj()[..., None, :]
+    return (outer[..., :, None, :, None] * np.eye(2)[:, None, :]).reshape(kets.shape[:-1] + (4, 4))
 
 
 def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
     """Discord objective at one measurement basis via explicit projectors,
     from two eigensolves: the stack [rho_B, rho_A, tau_s of each outcome seen] and rho."""
-    outcomes = []  # (p_s, tau_s)
-    for ket in local_qubit_basis(theta, phi).kets:
-        proj = _projector_on_a(ket)
-        weight = float(np.trace(proj @ rho).real)
-        if weight > 1e-14:
-            outcomes.append((weight, partial_trace(proj @ rho @ proj, "B") / weight))
-    reduced = [partial_trace(rho, "B"), partial_trace(rho, "A"), *(tau for _, tau in outcomes)]
-    s_b, s_a, *s_tau = _entropy(np.stack(reduced)).tolist()
+    proj = _projector_on_a(np.array(local_qubit_basis(theta, phi).kets))
+    weights = np.trace(proj @ rho, axis1=1, axis2=2).real
+    seen = weights > 1e-14
+    taus = np.einsum("sabad->sbd", (proj[seen] @ rho @ proj[seen]).reshape(-1, 2, 2, 2, 2))
+    taus /= weights[seen, None, None]
+    reduced = [partial_trace(rho, "B")[None], partial_trace(rho, "A")[None], taus]
+    s_b, s_a, *s_tau = _entropy(np.concatenate(reduced)).tolist()
     total = s_a + s_b - float(_entropy(rho))  # S(rho_B) cancels, but dropping it moves bits
     cond = 0.0
-    for (weight, _), s in zip(outcomes, s_tau):
+    for weight, s in zip(weights[seen].tolist(), s_tau):
         cond += weight * s
     return total - (s_b - cond)
 

@@ -2,8 +2,10 @@
 
 States are plain complex numpy arrays: 4x4 for the pair, 2x2 for a single
 qubit. Every constructor routes its output through :func:`validate_density`,
-so any state in circulation is Hermitian, unit-trace, and positive
-semidefinite, and is returned as a read-only array.
+or, for one Bell-diagonal matrix, its checked triple, so any state in
+circulation is Hermitian, unit-trace, and positive semidefinite, and is
+returned as a read-only array. bloch_decompose and concurrence check their
+input; the matrix last accepted is not solved again (a one-entry memo).
 
 Bell-diagonal states are handled through their correlation triple
 (c1, c2, c3), checked once, when it is built. That check is the contract
@@ -60,6 +62,7 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-9
 # How far past 1 a correlation coefficient |c_i| may round.
 _CORRELATION_SLACK = 1e-12
+_ACCEPTED = [b""]  # bytes of the last 4x4 matrix validate_density accepted at default tols
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -297,12 +300,15 @@ def validate_density(
     """Return `m` as a validated, read-only density matrix.
 
     Raises :class:`InvalidStateError` carrying the full violation report
-    otherwise. No repair is attempted.
+    otherwise. No repair is attempted. The last 4x4 matrix accepted at the
+    default tolerances is not solved again while its bytes are unchanged.
     """
     m = np.asarray(m, dtype=complex)
-    bad = density_violations(m, tol=tol, psd_tol=psd_tol)
-    if bad:
-        raise InvalidStateError(bad)
+    memo = m.shape == (4, 4) and (tol, psd_tol) == (HERMITICITY_TOL, PSD_TOL) and m.tobytes()
+    if not memo or memo != _ACCEPTED[0]:
+        if bad := density_violations(m, tol=tol, psd_tol=psd_tol):
+            raise InvalidStateError(bad)
+        _ACCEPTED[0] = memo or _ACCEPTED[0]
     return _readonly(m)
 
 
@@ -317,8 +323,15 @@ def _bell_diagonal_matrix(c1, c2, c3) -> np.ndarray:
 
 def bell_diagonal_state(params) -> np.ndarray:
     """The validated state of a physical triple; array fields of shape S give
-    a stack of shape S + (4, 4)."""
-    return validate_density(_bell_diagonal_matrix(*as_bell_params(params).as_tuple()))
+    a stack of shape S + (4, 4). One matrix is real symmetric, of trace 1 and
+    spectrum the checked Bell eigenvalues to rounding, so it enters the memo
+    unsolved unless the smallest lies below 1e-12 - PSD_TOL, which rounding may cross."""
+    p = as_bell_params(params)
+    m = _bell_diagonal_matrix(*p.as_tuple())
+    if m.shape != (4, 4) or p.bell_eigenvalues().min() < 1e-12 - PSD_TOL:
+        return validate_density(m)
+    _ACCEPTED[0] = m.tobytes()
+    return _readonly(m)
 
 
 def werner_state(z: float) -> np.ndarray:
@@ -332,11 +345,16 @@ def werner_state(z: float) -> np.ndarray:
 
 
 def bloch_decompose(rho: np.ndarray) -> BlochParams:
-    """Trace out the Bloch parameters (x, y, T) of a 2-qubit state."""
+    """Trace out the Bloch parameters (x, y, T) of a valid 2-qubit state."""
+    return _bloch_decompose(validate_density(_two_qubit(rho)))
+
+
+def _bloch_decompose(rho: np.ndarray) -> BlochParams:
+    """:func:`bloch_decompose` of a 4x4 matrix, unchecked."""
     # Each Pauli product has one nonzero entry per row, so every term of
     # the einsum is exact; the complex sum over i then rounds exactly like
     # Tr[rho (sigma_n (x) sigma_m)].
-    r = np.einsum("nmij,ji->nmi", _PAULI_PAIRS, _two_qubit(rho))
+    r = np.einsum("nmij,ji->nmi", _PAULI_PAIRS, rho)
     r = r.sum(axis=-1).real
     return BlochParams(r[1:, 0], r[0, 1:], r[1:, 1:])
 

@@ -243,13 +243,13 @@ class TestSignedPermutationFlip:
 def spin_flip_inputs(monkeypatch):
     """Every matrix full_report hands to the spin-flip concurrence, in call order."""
     seen = []
-    solve = qcorr.correlations.concurrence
+    solve = qcorr.correlations._concurrence
 
     def spy(rho):
         seen.extend(rho)
         return solve(rho)
 
-    monkeypatch.setattr(qcorr.correlations, "concurrence", spy)
+    monkeypatch.setattr(qcorr.correlations, "_concurrence", spy)
     return seen
 
 

@@ -21,6 +21,7 @@ from qcorr.correlations import (
 )
 from qcorr.oracle import (
     GridSpec,
+    _holevo_gate,
     _laqc_plane,
     _laqc_rows,
     audit_closed_forms,
@@ -156,7 +157,8 @@ def test_laqc_table_matches_ket_route(pair):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     phis = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    table = _laqc_rows(bloch_decompose(rho), *map(_laqc_plane, pair), phis, phis)(0, phis.size)
+    bloch, planes = bloch_decompose(rho), [_laqc_plane(b) for b in pair]
+    table = _laqc_rows(bloch, *planes, _holevo_gate(bloch, *planes), phis, phis)(0, phis.size)
     assert table.shape == (8, 8)
     for i, phi_a in enumerate(phis):
         for j, phi_b in enumerate(phis):
@@ -211,7 +213,7 @@ class TestAudit:
             calls.append(1)
             return bloch_decompose(rho)
 
-        monkeypatch.setattr(oracle, "bloch_decompose", counting)
+        monkeypatch.setattr(oracle, "_bloch_decompose", counting)
         audit = audit_closed_forms((0.7, -0.3, 0.5), SMALL)
         assert len(calls) == 1
         assert audit.classical.closed_form is not None
@@ -271,6 +273,40 @@ def _five_solve_discord(rho, theta, phi):
         if weight > 1e-14:
             cond += weight * entropy(partial_trace(proj @ rho @ proj, "B") / weight)
     return total - (s_b - cond)
+
+
+def _loop_over_kets_discord(rho, theta, phi):
+    """The discord objective with the projectors formed ket by ket: the reference
+    for the batched route."""
+    outcomes = []
+    for ket in local_qubit_basis(theta, phi).kets:
+        proj = oracle._projector_on_a(ket)
+        weight = float(np.trace(proj @ rho).real)
+        if weight > 1e-14:
+            outcomes.append((weight, partial_trace(proj @ rho @ proj, "B") / weight))
+    reduced = [partial_trace(rho, "B"), partial_trace(rho, "A"), *(tau for _, tau in outcomes)]
+    s_b, s_a, *s_tau = oracle._entropy(np.stack(reduced)).tolist()
+    total = s_a + s_b - float(oracle._entropy(rho))
+    cond = 0.0
+    for (weight, _), s in zip(outcomes, s_tau):
+        cond += weight * s
+    return total - (s_b - cond)
+
+
+def test_batched_discord_route_equals_the_loop_over_kets():
+    # Both projectors as one stack move no bit: 40 states (Bell-diagonal,
+    # full-rank, pure product) at 10 angles each, the poles included.
+    rng = np.random.default_rng(40)
+    states = [bell_diagonal_state(tuple(c)) for c in rng.uniform(-1 / 3, 1 / 3, (18, 3))]
+    for _ in range(18):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    states += [np.diag(d).astype(complex) for d in ([1.0, 0, 0, 0], [0, 0, 0, 1.0], [0, 0.5, 0, 0.5])]
+    states.append(werner_state(0.5))
+    angles = [(0.0, 0.0), (np.pi, 0.0)] + [tuple(a) for a in rng.uniform((0, 0), (np.pi, 6.28), (8, 2))]
+    got = [oracle._measured_discord_at(rho, *a) for rho in states for a in angles]
+    assert len(got) == 400
+    assert repr(got) == repr([_loop_over_kets_discord(rho, *a) for rho in states for a in angles])
 
 
 def test_discord_objective_solves_five_entropies(monkeypatch):

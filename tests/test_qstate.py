@@ -3,12 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcorr.cli
 from qcorr import qstate
-from qcorr.channels import DEPOLARIZING, PHASE_DAMPING, correlation_trajectory, depolarizing_kraus
-from qcorr.correlations import full_report
+import qcorr.correlations
+from qcorr.channels import (
+    DEPOLARIZING,
+    PHASE_DAMPING,
+    apply_product_channel,
+    correlation_trajectory,
+    depolarizing_kraus,
+)
+from qcorr.correlations import concurrence, full_report
 from qcorr.qstate import (
+    PSD_TOL,
     BellDiagonalParams,
     BlochParams,
     InvalidStateError,
@@ -164,9 +174,15 @@ class TestOneCheckPerTriple:
         assert qcorr.cli.main(argv) == 0
         assert checks == {"validate": 1, "validate_density": 0}
 
-    def test_bell_diagonal_state_validates_once(self, checks):
-        bell_diagonal_state(BellDiagonalParams(0.3, -0.2, 0.1))
-        assert checks["validate_density"] == 1
+    def test_bell_diagonal_state_solves_nothing(self, checks, monkeypatch):
+        # The checked triple certifies the matrix: it enters validate_density's
+        # memo unsolved, and a later check of it is a hit.
+        solves = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(m))
+        rho = bell_diagonal_state(BellDiagonalParams(0.3, -0.2, 0.1))
+        assert checks["validate_density"] == 0
+        assert validate_density(rho).tobytes() == rho.tobytes()
+        assert solves == []
 
 
 class TestWernerState:
@@ -422,3 +438,174 @@ def test_array_holding_values_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert (a == a) is True and (a == b) is False and (a != b) is True
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+W04, W06 = np.array(werner_state(0.4)), np.array(werner_state(0.6))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The matrices validate_density hands to density_violations, in call order,
+    from an empty memo."""
+    seen = []
+    check = qstate.density_violations
+
+    def spy(m, *args, **kwargs):
+        seen.append(np.array(m))
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(qstate, "density_violations", spy)
+    qstate._ACCEPTED[0] = b""
+    return seen
+
+
+class TestCheckMemo:
+    """validate_density skips the eigensolve only for the bytes it last accepted
+    at the default tolerances; everything else is checked in full."""
+
+    def test_the_last_accepted_matrix_is_not_solved_again(self, solves):
+        rho = W04.copy()
+        for _ in range(3):
+            assert validate_density(rho).tobytes() == rho.tobytes()
+        assert len(solves) == 1
+
+    def test_a_writable_matrix_changed_after_its_check_is_checked_again(self, solves):
+        rho = W04.copy()
+        validate_density(rho)
+        rho[...] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvalidStateError, match="positivity"):
+            validate_density(rho)
+        assert len(solves) == 2
+
+    def test_a_one_ulp_change_misses(self, solves):
+        rho = W04.copy()
+        validate_density(rho)
+        rho[0, 0] = np.nextafter(rho[0, 0].real, 1.0)
+        validate_density(rho)
+        assert len(solves) == 2
+
+    def test_the_memo_holds_one_entry(self, solves):
+        a, b = W04, W06
+        for m in (a, b, a, a, b):
+            validate_density(m)
+        assert [m.tobytes() for m in solves] == [a.tobytes(), b.tobytes(), a.tobytes(), b.tobytes()]
+
+    def test_other_tolerances_neither_read_nor_fill_the_memo(self, solves):
+        # rho's smallest eigenvalue, -1e-8, passes psd_tol=1e-6 but not the default.
+        rho = np.diag([0.5 + 1e-8, 0.5, 0.0, -1e-8]).astype(complex)
+        validate_density(rho, psd_tol=1e-6)
+        with pytest.raises(InvalidStateError, match="positivity"):
+            validate_density(rho)
+        good = W04
+        validate_density(good)
+        validate_density(good, tol=1e-13)
+        validate_density(good, psd_tol=1e-12)
+        assert len(solves) == 5
+
+    def test_stacks_bypass_the_memo(self, solves):
+        stack = np.stack([W04] * 2)
+        validate_density(stack)
+        validate_density(stack)
+        validate_density(stack[0])
+        assert len(solves) == 3
+
+    def test_the_kraus_chain_solves_only_the_channel_output(self, solves):
+        rho = bell_diagonal_state((0.3, -0.2, 0.1))
+        out = apply_product_channel(rho, depolarizing_kraus(0.3))
+        bloch_decompose(out)
+        concurrence(out)
+        assert [m.tobytes() for m in solves] == [out.tobytes()]
+
+
+class TestCheckedEntryPoints:
+    """bloch_decompose and concurrence check their matrix; the private cores do not."""
+
+    BAD = np.diag([1.5, -0.5, 0.0, 0.0])  # y_z = 2 and concurrence 0.0 unchecked
+
+    @pytest.mark.parametrize("fn", [bloch_decompose, concurrence], ids=["bloch_decompose", "concurrence"])
+    @pytest.mark.parametrize(
+        "rho, invariant",
+        [(BAD, "positivity"), (I4 * 1.1, "trace"), (I4 + 1e-6 * np.triu(np.ones((4, 4)), 1), "hermiticity")],
+        ids=["positivity", "trace", "hermiticity"],
+    )
+    def test_rejects_a_matrix_that_is_not_a_density(self, fn, rho, invariant):
+        with pytest.raises(InvalidStateError, match=invariant):
+            fn(rho)
+
+    def test_concurrence_rejects_a_bad_state_in_a_stack(self):
+        with pytest.raises(InvalidStateError, match="positivity"):
+            concurrence(np.stack([werner_state(0.5), self.BAD]))
+
+    def test_the_unchecked_cores_take_it(self):
+        assert qstate._bloch_decompose(self.BAD.astype(complex)).y[2] == 2.0
+        assert qcorr.correlations._concurrence(self.BAD.astype(complex)) == 0.0
+
+    def test_full_report_checks_no_matrix(self, monkeypatch):
+        def refuse(m, *args, **kwargs):
+            raise AssertionError("full_report validated a matrix")
+
+        monkeypatch.setattr(qcorr.correlations, "validate_density", refuse)
+        monkeypatch.setattr(qstate, "validate_density", refuse)
+        t = np.linspace(0.0, 1.0, 41)
+        assert np.count_nonzero(full_report(BellDiagonalParams(t, -t, t)).concurrence) > 0
+
+
+def _triple_at_edge(c1, c2, k, delta):
+    """(c1, c2, c3) with Bell eigenvalue k equal to -PSD_TOL + delta, up to rounding."""
+    t = 4.0 * (delta - PSD_TOL)  # 4 lambda_k = 1 + s1 c1 + s2 c2 + s3 c3
+    return c1, c2, [t - 1 - c1 + c2, t - 1 + c1 - c2, 1 + c1 + c2 - t, 1 - c1 - c2 - t][k]
+
+
+class TestBellDiagonalCertificate:
+    """bell_diagonal_state trusts its checked triple for one matrix, except
+    within 1e-12 of the PSD_TOL edge, where the computed spectrum may round
+    past it and the matrix is solved."""
+
+    def test_the_spectrum_is_the_bell_eigenvalues_to_rounding(self):
+        # 2.4e-16 at most on these triples (physical or not): far inside 1e-12.
+        c = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 20000))
+        signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+        lam = (1.0 + signs @ c) / 4.0
+        m = qstate._bell_diagonal_matrix(*c)
+        assert np.abs(np.linalg.eigvalsh(m).min(axis=1) - lam.min(axis=0)).max() < 1e-15
+
+    def test_an_accepted_triple_at_the_edge_can_fail_the_eigensolve(self):
+        # Why the margin exists: the triple passes, its matrix's computed
+        # spectrum does not, so bell_diagonal_state solves it and rejects it.
+        p = BellDiagonalParams(-0.46773945541541484, 0.07786881524437383, 0.610129363828959)
+        m = qstate._bell_diagonal_matrix(*p.as_tuple())
+        assert [v.invariant for v in density_violations(m)] == ["positivity"]
+        with pytest.raises(InvalidStateError, match="positivity"):
+            bell_diagonal_state(p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.integers(0, 3),
+        st.floats(-1e-16, 1e-16) | st.floats(-1e-12, 3e-12),
+    )
+    @example(-0.46773945541541484, 0.07786881524437383, 2, 0.0)
+    def test_no_unsolved_matrix_fails_the_eigensolve(self, c1, c2, k, delta):
+        # Triples whose smallest Bell eigenvalue lies within 1e-12 of -PSD_TOL,
+        # on both sides of the certificate's cut: every matrix returned passes
+        # density_violations, and only the solved band may raise.
+        try:
+            p = BellDiagonalParams(*_triple_at_edge(c1, c2, k, delta))
+        except ValueError:
+            return
+        try:
+            rho = bell_diagonal_state(p)
+        except InvalidStateError:
+            assert p.bell_eigenvalues().min() < 1e-12 - PSD_TOL
+            return
+        assert density_violations(rho) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_every_built_state_passes_the_eigensolve(self, c):
+        try:
+            p = BellDiagonalParams(*c)
+        except ValueError:
+            return
+        assert density_violations(bell_diagonal_state(p)) == []

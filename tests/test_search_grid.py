@@ -12,6 +12,7 @@ beyond the row evaluators.
 
 import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from qcorr.oracle import (
     _BOUND_SLACK,
     _CHUNK_ROWS,
     _REFINE_POINTS,
+    _RUN_BYTES,
     TIE_TOL,
     GridSpec,
     _bloch_axes,
@@ -34,6 +36,7 @@ from qcorr.oracle import (
     _conditional_entropy_rows,
     _dephased_entropy_rows,
     _grid_search,
+    _holevo_gate,
     _laqc_plane,
     _laqc_rows,
     _phi_grid,
@@ -369,6 +372,11 @@ def _without_b_vector(bloch, w):
     return BlochParams(w * bloch.x, np.zeros(3), (1.0 - w) * bloch.T)
 
 
+def _laqc_table(bloch, planes, phi_a, phi_b):
+    """The LAQC row evaluator as maximize_laqc builds it, gated on the planes."""
+    return _laqc_rows(bloch, *planes, _holevo_gate(bloch, *planes), phi_a, phi_b)
+
+
 def _holevo_bound(bloch, plane, phis):
     """sum_s p_s S(rho_B | s) - S(rho_B) along each axis of the plane."""
     axes = np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1]
@@ -402,7 +410,7 @@ def test_laqc_row_minima_never_fall_below_the_holevo_bound(
     if w is not None:
         bloch = _without_b_vector(bloch, w)
     planes = [_laqc_plane(local_qubit_basis(t, p)) for t, p in zip(thetas, phis)]
-    rows = _laqc_rows(bloch, *planes, _phi_grid(n_a), _phi_grid(n_b))
+    rows = _laqc_table(bloch, planes, _phi_grid(n_a), _phi_grid(n_b))
     holevo = _holevo_bound(bloch, planes[0], _phi_grid(n_a))
     assert np.all(rows(0, n_a).min(axis=1) >= holevo - _BOUND_SLACK / 100)
 
@@ -435,23 +443,21 @@ def test_laqc_bound_is_set_only_where_it_is_attained():
     attained, loose = _attained_cases(seed=3)
     phis = _phi_grid(64)
     for bloch, planes in attained:
-        rows = _laqc_rows(bloch, *planes, phis, phis)
+        rows = _laqc_table(bloch, planes, phis, phis)
         assert rows.bound.tobytes() == _holevo_bound(bloch, planes[0], phis).tobytes()
         least = rows(0, 64).min(axis=1)
         assert np.abs(least - rows.bound)[[0, 16, 32, 48]].max() < 1e-14
     for bloch, planes in loose:
-        assert not hasattr(_laqc_rows(bloch, *planes, phis, phis), "bound")
+        assert not hasattr(_laqc_table(bloch, planes, phis, phis), "bound")
 
 
 def _laqc_search(bloch, planes, phis, bounded):
     """repr of the LAQC grid search with the Holevo bound set on every table, or on none."""
 
     def table(phi_a, phi_b):
-        rows = _laqc_rows(bloch, *planes, phi_a, phi_b)
+        rows = _laqc_rows(bloch, *planes, False, phi_a, phi_b)
         if bounded:
             rows.bound = _holevo_bound(bloch, planes[0], phi_a)
-        elif hasattr(rows, "bound"):
-            del rows.bound
         return rows
 
     return repr(_grid_search((phis, phis), (oracle._PHI_BOUNDS,) * 2, 1, table, refine=True))
@@ -495,7 +501,7 @@ def test_laqc_bound_is_set_on_rounding_residue_in_y():
     assert len(residue) >= 50
     for bloch in residue:
         assert 0.0 < np.abs(bloch.y).max() <= TIE_TOL
-        rows = _laqc_rows(bloch, *std, phis, phis)
+        rows = _laqc_table(bloch, std, phis, phis)
         assert rows.bound.tobytes() == _holevo_bound(bloch, std[0], phis).tobytes()
         assert np.all(rows(0, phis.size).min(axis=1) >= rows.bound - _BOUND_SLACK)
     for bloch in residue[::4]:
@@ -603,7 +609,7 @@ def _row_evaluators(bloch):
     laqc_phis = np.linspace(0.0, 6.0, 300)
     return [
         ("dephased", _dephased_entropy_rows(bloch, thetas, phis, thetas, phis), 17 * 17),
-        ("laqc", _laqc_rows(bloch, *map(_laqc_plane, comp), laqc_phis, _phi_grid(17)), laqc_phis.size),
+        ("laqc", _laqc_table(bloch, [*map(_laqc_plane, comp)], laqc_phis, _phi_grid(17)), laqc_phis.size),
         ("discord", _conditional_entropy_rows(bloch, np.linspace(0.0, 3.0, 300), phis), 300),
     ]
 
@@ -730,6 +736,107 @@ def test_verify_solves_the_coarse_conditional_entropy_table_once(monkeypatch, ca
     assert main(["verify", "--werner", "0.5"]) == 0
     capsys.readouterr()
     assert sizes.count(2048) == 1
+
+
+def _one_run_cases(steps):
+    """(label, grids, table) of the bound-less tables the searches build at ``steps``:
+    the discord table and the LAQC table off the Holevo gate, in standard and random bases."""
+    rng = np.random.default_rng(steps)
+    thetas, phis = _search_thetas(GridSpec(steps, steps, steps)), _phi_grid(steps)
+    random_planes = [_laqc_plane(local_qubit_basis(*rng.uniform((0.0, 0.0), (np.pi, 6.28)))) for _ in "ab"]
+    for i, rho in enumerate(STATES[:3] + STATES[-3:]):
+        bloch = bloch_decompose(rho)
+        yield f"discord-{i}", (thetas, phis), functools.partial(_conditional_entropy_rows, bloch)
+        for name, planes in (("std", [_laqc_plane(_STD)] * 2), ("random", random_planes)):
+            yield f"laqc-{name}-{i}", (phis, phis), functools.partial(_laqc_rows, bloch, *planes, False)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 7, 16, 17, 64, 65, 127, 128])
+def test_bound_less_tables_are_scanned_in_one_run(steps):
+    # At most _CHUNK_ROWS rows and no bound: _scan fetches rows(0, n) once and
+    # returns what the exhaustive scan over every chunk returns, bit for bit,
+    # with and without the early stop.
+    for label, grids, table in _one_run_cases(steps):
+        fetched = []
+
+        def recorded(*args):
+            rows = table(*args)
+            assert not hasattr(rows, "bound"), label
+            return lambda lo, hi: fetched.append((lo, hi)) or rows(lo, hi)
+
+        exact = repr(_exhaustive_scan(grids, 1, table(*grids)))
+        for stop_early in (False, True):
+            fetched.clear()
+            assert repr(_scan(grids, 1, recorded, stop_early=stop_early)) == exact, label
+            assert fetched == [(0, grids[0].size)] and grids[0].size <= _CHUNK_ROWS, label
+
+
+def test_refinement_windows_are_bitwise_linspace(monkeypatch):
+    # Each window column comes from np.linspace's arithmetic: 3000 windows of
+    # random grids, bounds and optima equal the 2-D linspace they replace.
+    rng = np.random.default_rng(17)
+    scans = []
+
+    def spy(grids, n_row_angles, table, **options):
+        scans.append((grids, _scan(grids, n_row_angles, table, **options)))
+        return scans[-1][1]
+
+    def table(*grids):
+        values = rng.uniform(size=(grids[0].size, grids[1].size))
+        return lambda lo, hi: values[lo:hi]
+
+    monkeypatch.setattr(oracle, "_scan", spy)
+    for _ in range(3000):
+        sizes = rng.integers(2, 12, size=2)
+        grids = tuple(np.sort(rng.uniform(-4.0, 4.0, n)) * rng.choice([1e-6, 1.0, 1e3]) for n in sizes)
+        bounds = [(-np.inf, np.inf), (grids[1][0], grids[1][-1] + rng.uniform(0.0, 1e-3))]
+        scans.clear()
+        _grid_search(grids, bounds, 1, table, refine=True)
+        (_, (best, _)), (window, _) = scans[:2]
+        cell = np.array([g[1] - g[0] for g in grids])
+        lower, upper = np.array(bounds).T
+        expected = np.linspace(
+            np.maximum(lower, best - cell), np.minimum(upper, best + cell), _REFINE_POINTS, axis=1
+        )
+        assert window.tobytes() == expected.tobytes()
+
+
+def test_pruned_windows_build_no_outcome_table(monkeypatch, capsys):
+    # A Bell-diagonal verify prunes its LAQC window by the Holevo bound: the
+    # window's axes on A feed its bound, and B's 21 axes are never built.
+    sizes = []
+    build = oracle._plane_axes
+
+    def spy(phi_bytes, plane_bytes):
+        sizes.append(len(phi_bytes) // 8)
+        return build(phi_bytes, plane_bytes)
+
+    gates = []
+    gate = oracle._holevo_gate
+    monkeypatch.setattr(oracle, "_plane_axes", spy)
+    monkeypatch.setattr(oracle, "_holevo_gate", lambda *a: gates.append(gate(*a)) or gates[-1])
+    assert main(["verify", "--bd=0.7,-0.3,0.5"]) == 3
+    capsys.readouterr()
+    assert sizes == [64, 64, 21] and gates == [True]
+
+
+def test_outcome_runs_stay_under_the_byte_cap(monkeypatch):
+    # A 128-row run of a 128-step full-rank table (8192 columns) allocates its
+    # row table, one capped buffer and the table's 0.7 MB of factors, not five
+    # 8.4 MB layers; a smaller cap moves no bit.
+    thetas, phis = _search_thetas(GridSpec(128, 128, 2)), _phi_grid(128)
+    bloch = bloch_decompose(STATES[-1])
+    rows = _dephased_entropy_rows(bloch, thetas, phis, thetas, phis)
+    tracemalloc.start()
+    try:
+        table = rows(0, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + _RUN_BYTES + 1_000_000
+    monkeypatch.setattr(oracle, "_RUN_BYTES", 3 * 8 * 5 * table.shape[1])  # three rows a run
+    again = _dephased_entropy_rows(bloch, thetas, phis, thetas, phis)
+    assert again(0, 128).tobytes() == table.tobytes()
 
 
 VERIFY_64 = json.loads((DATA / "cli_verify_64.json").read_text())

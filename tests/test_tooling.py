@@ -214,8 +214,9 @@ def test_tracer_sees_verify_after_the_parser_is_built(capsys):
 
 
 def test_tracer_sees_one_check_per_verify(capsys):
-    # bell_diagonal_state validates the matrix it builds, and the oracles
-    # share one validation and one decomposition of it, still one span each.
+    # bell_diagonal_state certifies the matrix it builds without a call, and the
+    # oracles share one check, a memo hit, and one decomposition of it, still
+    # one span each.
     _verify("--werner=0.5", "--steps", "8")
     spans = _spans()
     tracer = spans.Tracer()
@@ -226,8 +227,8 @@ def test_tracer_sees_one_check_per_verify(capsys):
         tracer.uninstall()
     tracer.absorb()
     calls = dict(zip(spans.SPAN_NAMES, tracer.calls.tolist()))
-    assert calls["qstate.validate_density"] == 2
-    assert calls["qstate.bloch_decompose"] == 1
+    assert calls["qstate.validate_density"] == 1
+    assert calls["qstate.bloch_decompose"] == 0
     assert calls["qstate.bell_diagonal_state"] == 1
     for name in spans.LAYERS["oracle"]:
         assert calls[f"oracle.{name}"] == 1, name
