@@ -20,31 +20,30 @@ computational basis whenever it is optimal.
 
 All three oracles share one search (:func:`_grid_search`), and every
 search minimizes: the LAQC evaluator tabulates minus the mutual
-information. The scan takes the table in 128-row chunks and keeps each
-evaluated row's minimum. The relative-entropy table bounds its rows from
-below, as a measured entropy is never below the von Neumann entropy
-(Nielsen & Chuang, Thm 11.9): measuring along a on A and any b on B gives
-at least LB(a) = h((1 + a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and
-r_s the probability and B's Bloch vector after outcome s; that sum, the
-discord table, is solved once per state and grid. The LAQC rows carry
-Holevo's bound (Thm 12.1), -I(A_a : B_b) >= sum_s p_s h((1 + |r_s|)/2) -
-S(rho_B), only where every row attains it (:func:`_laqc_rows`). Chunks go
-in ascending smallest LB, those within TIE_TOL of the smallest in index
-order. With eps = 1e-12 of slack under LB, U the smallest row minimum so
-far and L the smallest LB - eps (an evaluated row counting its minimum),
-the minimum lies in [L, U], and:
+information. The scan keeps each evaluated row's minimum. The
+relative-entropy table bounds its rows from below, as a measured entropy
+is never below the von Neumann entropy (Nielsen & Chuang, Thm 11.9):
+measuring along a on A and any b on B gives at least LB(a) = h((1 +
+a.x)/2) + sum_s p_s h((1 + |r_s|)/2), with p_s and r_s the probability
+and B's Bloch vector after outcome s; that sum, the discord table, is
+solved once per state and grid. The LAQC rows carry Holevo's bound (Thm
+12.1), -I(A_a : B_b) >= sum_s p_s h((1 + |r_s|)/2) - S(rho_B), only where
+every row attains it (:func:`_laqc_rows`). A table without a bound
+(discord; LAQC off its gate) is evaluated in one run. With eps = 1e-12 of
+slack under LB, U the smallest row minimum so far and L the smallest LB -
+eps (an evaluated row counting its minimum), the minimum lies in [L, U]:
 
 * skip: a row with LB - eps above U + TIE_TOL holds neither the minimum
-  nor a tie, so a chunk evaluates only its runs of consecutive live rows,
-  those neither so ruled out nor evaluated yet, each against U as the
-  runs before it left it. The first chunk first evaluates its seed row,
-  its first within TIE_TOL of its smallest LB. A table without a bound
-  (discord; LAQC off its gate) has every row live and, one chunk at most
-  here, is evaluated in one run;
-* early stop, tested after the seed row and after the first chunk: take
-  the first row not shown above U + TIE_TOL by its minimum or LB - eps.
-  Once it is evaluated with a minimum at most L + TIE_TOL, its first entry
-  at most U + TIE_TOL is the answer if that entry is at most L + TIE_TOL;
+  nor a tie. The scan evaluates its seed row, the first within TIE_TOL of
+  the smallest LB, then in turn the first run of consecutive live rows
+  (neither so ruled out nor evaluated yet) with the lowest LB, at most
+  128 rows of it, each against U as the runs before it left it;
+* early stop, tested after every run: take the first row not shown above
+  U + TIE_TOL by its minimum or LB - eps. Once it is evaluated with a
+  minimum at most L + TIE_TOL, its first entry at most U + TIE_TOL is the
+  answer if that entry is at most L + TIE_TOL. Every entry before it lies
+  above U + TIE_TOL, so the answer, like the whole scan's, does not depend
+  on the order the rows were evaluated in;
 * refinement is skipped when the window's smallest LB - eps is at least
   U - TIE_TOL, as it adopts a point only below the minimum - TIE_TOL.
   When a refined value lies too close to an early-stopped U to decide,
@@ -96,6 +95,7 @@ from .qstate import (
     BellDiagonalParams,
     BlochParams,
     _bloch_decompose,
+    _two_qubit,
     as_bell_params,
     bell_diagonal_state,
     partial_trace,
@@ -117,7 +117,7 @@ TIE_TOL = 1e-10
 _TWO_PI = 2.0 * math.pi
 # Refinement window: +-1 coarse cell sampled at 10x resolution.
 _REFINE_POINTS = 21
-_CHUNK_ROWS = 128
+_CHUNK_ROWS = 128  # the most rows the pruned scan evaluates in one run
 _RUN_BYTES = 4_000_000  # under numpy's 4 MiB huge-page threshold
 # Slack under a row's entropy bound: rounding puts an entry at most a few
 # 1e-15 below it, pure states included, and TIE_TOL is 100 times larger.
@@ -236,44 +236,21 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
     entries. Returns None, evaluating nothing, when the bound puts every
     entry at or above ``below``. Only with ``stop_early`` may the value
     returned, the smallest entry evaluated, sit above the minimum (by up
-    to TIE_TOL). The chunks and their runs of live rows are evaluated in
-    turn on the calling thread, a bound-less table of one chunk as one run.
+    to TIE_TOL). The seed row and then the runs of live rows are evaluated
+    in turn on the calling thread (see the module docstring).
     """
     shape = tuple(g.size for g in grids)
-    n_rows = math.prod(shape[:n_row_angles])
     rows = table(*grids)
-    if not hasattr(rows, "bound") and n_rows <= _CHUNK_ROWS:
-        block = rows(0, n_rows)
+    if not hasattr(rows, "bound"):
+        block = rows(0, math.prod(shape[:n_row_angles]))
         idx = np.unravel_index(int((block <= block.min() + TIE_TOL).argmax()), shape)
         return tuple(g[i] for g, i in zip(grids, idx)), block.min()
     # A lower bound on each row's minimum, replaced by the minimum once evaluated.
-    floor = (rows.bound if hasattr(rows, "bound") else np.full(n_rows, -math.inf)) - _BOUND_SLACK
+    floor = rows.bound - _BOUND_SLACK
     if floor.min() >= below:
         return None
-    chunk_floor = np.minimum.reduceat(floor, np.arange(0, n_rows, _CHUNK_ROWS))
-    # Chunks within TIE_TOL of the smallest bound share one key and keep index order.
-    order = np.argsort(np.maximum(chunk_floor, chunk_floor.min() + TIE_TOL), kind="stable")
-    evaluated = np.zeros(n_rows, dtype=bool)
-    kept = [math.inf, range(0), None]  # the smallest row minimum, its block's rows and the block
-
-    def take(chunk, seed=False):
-        at = slice(chunk * _CHUNK_ROWS, (chunk + 1) * _CHUNK_ROWS)
-        while True:
-            # Rows not evaluated yet within TIE_TOL of U, or for the seed of the chunk's floor.
-            limit = (chunk_floor[chunk] if seed else kept[0]) + TIE_TOL
-            live = at.start + (~evaluated[at] & (floor[at] <= limit)).nonzero()[0]
-            if not live.size:
-                return
-            # The seed row alone, or the first run of consecutive live rows.
-            lo = live[0]
-            hi = lo + (1 if seed else np.count_nonzero(live == lo + np.arange(live.size)))
-            block = rows(lo, hi)
-            least = floor[lo:hi] = block.min(axis=1)
-            evaluated[lo:hi] = True
-            if least.min() < kept[0]:
-                kept[:] = least.min(), range(lo, hi), block
-            if seed:
-                return
+    evaluated = np.zeros(floor.size, dtype=bool)
+    value, at, kept = math.inf, 0, ()  # U, and the first row and the rows of the run holding it
 
     def first_tie(low, high):
         """The first entry within TIE_TOL of every value in [low, high], where
@@ -281,20 +258,31 @@ def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
         row = int((floor <= high + TIE_TOL).argmax())
         if not evaluated[row] or floor[row] > low + TIE_TOL:
             return None
-        line = kept[2][row - kept[1].start] if row in kept[1] else rows(row, row + 1)[0]
+        line = kept[row - at] if at <= row < at + len(kept) else rows(row, row + 1)[0]
         col = int((line <= high + TIE_TOL).argmax())
         if line[col] > low + TIE_TOL:
             return None
         idx = np.unravel_index(row * line.size + col, shape)
         return tuple(g[i] for g, i in zip(grids, idx))
 
-    for seed in (True, False) if hasattr(rows, "bound") else (False,):
-        take(order[0], seed)
-        if stop_early and (best := first_tie(floor.min(), kept[0])):
-            return best, kept[0]
-    for chunk in order[1:]:
-        take(chunk)
-    return first_tie(kept[0], kept[0]), kept[0]
+    lo = int((floor <= floor.min() + TIE_TOL).argmax())  # the seed row
+    hi = lo + 1
+    while True:
+        block = rows(lo, hi)
+        minima = floor[lo:hi] = block.min(axis=1)
+        evaluated[lo:hi] = True
+        if minima.min() < value:
+            value, at, kept = minima.min(), lo, block
+        if stop_early and (best := first_tie(floor.min(), value)):
+            return best, value
+        live = (~evaluated & (floor <= value + TIE_TOL)).nonzero()[0]
+        if not live.size:
+            return first_tie(value, value), value
+        # Of the runs of consecutive live rows, the first with the lowest bound, capped.
+        starts = np.concatenate(([0], (np.diff(live) != 1).nonzero()[0] + 1, [live.size]))
+        run = int(np.minimum.reduceat(floor[live], starts[:-1]).argmin())
+        lo = live[starts[run]]
+        hi = min(live[starts[run + 1] - 1] + 1, lo + _CHUNK_ROWS)
 
 
 def _grid_search(grids, bounds, n_row_angles, table, refine):
@@ -396,13 +384,12 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
 def _checked(rho) -> tuple[np.ndarray, BlochParams, BellDiagonalParams | None]:
     """(rho validated and read-only, its Bloch parameters, its triple or None off the
     Bell-diagonal family), keyed by content: a matrix changed since is checked again."""
-    m = np.asarray(rho, dtype=complex)
-    return _checked_of(m.shape, m.tobytes())
+    return _checked_of(_two_qubit(rho).tobytes())
 
 
 @functools.lru_cache(maxsize=1)
-def _checked_of(shape, data):
-    rho = validate_density(np.frombuffer(data, dtype=complex).reshape(shape))
+def _checked_of(data):
+    rho = validate_density(np.frombuffer(data, dtype=complex).reshape(4, 4))
     bloch = _bloch_decompose(rho)
     return rho, bloch, bloch.diagonal_correlations() if bloch.is_bell_diagonal() else None
 

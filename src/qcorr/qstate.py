@@ -111,16 +111,13 @@ def _two_qubit(rho) -> np.ndarray:
     return rho
 
 
-def xlog2(p, out=None):
+def xlog2(p):
     """Elementwise p*log2(p), 0 wherever p is not positive (0*log2(0) = 0).
 
-    A scalar argument gives a numpy float scalar. ``out``, a float array of
-    p's shape that shares no memory with p, receives the result if given."""
+    A scalar argument gives a numpy float scalar."""
     arr = np.asarray(p, dtype=float)
     pos = arr > 0.0
-    out = np.empty_like(arr) if out is None else out
-    out.fill(0.0)
-    np.log2(arr, out=out, where=pos)
+    out = np.log2(arr, out=np.zeros(arr.shape), where=pos)
     return np.multiply(arr, out, out=out, where=pos)[()]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import errno
 import io
 import json
@@ -381,6 +382,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--bd", "2,0,0")
         assert code == 2 and err != ""
 
+    def test_symmetric_triple_past_tolerance_is_unexpected(self, capsys, monkeypatch):
+        # A symmetric triple has no known gap, so one past the tolerance is
+        # reported as unexpected rather than as the known observation.
+        real = qcorr.cli.audit_closed_forms
+
+        def gapped(params, grid):
+            audit = real(params, grid)
+            return dataclasses.replace(audit, laqc=dataclasses.replace(audit.laqc, gap=0.5))
+
+        monkeypatch.setattr(qcorr.cli, "audit_closed_forms", gapped)
+        code, out, _ = run(capsys, "verify", "--werner", "0.5", "--steps", "4")
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            "UNEXPECTED: gap 5.000e-01 exceeds 1.0e-04 for a symmetric-triple state"
+        )
+        assert "OBSERVATION" not in out
+
     def test_negative_zero_werner_label(self, capsys):
         code, out, _ = run(capsys, "verify", "--werner=-0.0", "--steps", "4")
         assert code == 0
@@ -413,6 +431,20 @@ class TestBoundaries:
         code, _, err = run(capsys, "sweep", "--z-steps", "3", "--output", str(target))
         assert code == 2 and "cannot write" in err
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    def test_failed_rename_leaves_the_target_and_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def refuse(*_):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run(capsys, "sweep", "--z-steps", "3", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {path}: Permission denied\n"
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_fifo_output_is_refused_and_left_alone(self, capsys, tmp_path):
         fifo = tmp_path / "pipe"
@@ -514,6 +546,11 @@ class TestParsing:
     def test_malformed_triple(self, capsys):
         code, _, err = run(capsys, "report", "--bd", "0.1,0.2")
         assert code == 2 and "three" in err
+
+    def test_unparsable_coefficient(self, capsys):
+        code, out, err = run(capsys, "verify", "--bd=1,2,x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: could not parse --bd value '1,2,x'")
 
     def test_werner_out_of_range(self, capsys):
         code, _, err = run(capsys, "report", "--werner", "1.5")

@@ -234,8 +234,15 @@ class TestAudit:
 
 @pytest.mark.parametrize(
     "rho, message",
-    [(2.0 * np.eye(4), "trace violated"), (np.full((4, 4), math.nan), "entries must be finite")],
-    ids=["twice-identity", "nan"],
+    [
+        (2.0 * np.eye(4), "trace violated"),
+        (np.full((4, 4), math.nan), "entries must be finite"),
+        # Densities of the wrong size are named by their shape, not by a
+        # broadcast error from inside the check.
+        (np.eye(2) / 2, r"4x4 two-qubit state, got shape \(2, 2\)"),
+        (np.eye(3) / 3, r"4x4 two-qubit state, got shape \(3, 3\)"),
+    ],
+    ids=["twice-identity", "nan", "one-qubit", "qutrit"],
 )
 @pytest.mark.parametrize(
     "search",

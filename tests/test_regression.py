@@ -93,21 +93,21 @@ class TestAsymmetricTripleAngles:
         [(699, 3, 0.0)],
         [(300, 1, 1e-11), (650, 2, 0.0)],
         [(10, 0, 0.0)],
-        [(150, 2, 1e-11), (520, 1, 0.0)],  # tie in chunk 1, minimum in chunk 4
-        [(100, 4, 5e-11), (400, 0, 0.0)],  # tie in chunk 0, minimum in chunk 3
-        [(660, 3, 5e-11), (690, 0, 0.0), (690, 2, 0.0)],  # both in the partial last chunk
-        # The loose bound of chunk 2 puts it first; the tie in chunk 1, whose
-        # bound is tight, must still be evaluated.
+        [(150, 2, 1e-11), (520, 1, 0.0)],  # a tie 370 rows before the minimum
+        [(100, 4, 5e-11), (400, 0, 0.0)],  # a tie 300 rows before the minimum
+        [(660, 3, 5e-11), (690, 0, 0.0), (690, 2, 0.0)],  # both in the last rows
+        # Rows 256-383 have the lowest bound, a loose one, and may go first;
+        # the tie at row 150, whose bound is tight, must still be found.
         [(300, 1, 0.0), (slice(256, 384), -2e-10), (150, 2, 8e-11), (150, 8e-11)],
-        # Bounds that differ by ulps: chunk 0 goes first, in index order.
+        # Bounds that differ by ulps: rows 384-511 lie lower, but row 10 ties first.
         [(10, 0, 0.0), (500, 3, 0.0), (slice(0, 700), 0.0), (slice(384, 512), -1e-16)],
-        # A tie and the minimum in the partial last chunk, both bounds tight.
+        # A tie and the minimum in the last rows, both bounds tight.
         [(660, 3, 5e-11), (690, 0, 0.0), (660, 5e-11), (690, 0.0)],
-        # Row 0 holds the minimum of chunk 0, but its first entry within
-        # TIE_TOL of that is no tie of the lower minimum in chunk 1.
+        # Row 0 holds the minimum of rows 0-127, but its first entry within
+        # TIE_TOL of that is no tie of the lower minimum at row 200.
         [(0, 0, 5e-11), (0, 3, 0.0), (slice(0, 128), -5e-11), (200, 2, -9e-11), (200, -9e-11)],
-        # The seed row 130 is the first within TIE_TOL of chunk 1's floor but
-        # not its minimum; after it, only rows 150 and 200 of the chunk live.
+        # The seed row 130 is the first within TIE_TOL of the lowest bound
+        # but not the minimum; after it, only rows 150 and 200 live.
         [(130, 4, 5e-10), (150, 2, 0.0), (200, 3, -5e-11), (130, 0.0), (150, 0.0), (200, -5e-11)],
         # The seed row 10 holds no tie: row 3, above the floor by more than
         # TIE_TOL, holds the first one.
@@ -115,8 +115,8 @@ class TestAsymmetricTripleAngles:
     ],
 )
 def test_scan_matches_two_pass_reference(cells):
-    # 700 rows span six chunks, scanned in index order unless bounds order
-    # them; a near tie in an earlier chunk than the minimum must win, as in
+    # 700 rows, with bounds or without: whatever order the scan evaluates
+    # them in, a near tie in an earlier row than the minimum must win, as in
     # a full scan for the minimum followed by a row-major scan for the
     # first entry within TIE_TOL. A (rows, value) cell sets the bound of
     # those rows, and the table then bounds every other row by 1.

@@ -5,9 +5,9 @@ Measuring along -a is the measurement along a with its outcomes relabelled,
 so every search objective takes the same value at a grid point and at its
 antipodal image, which has a smaller theta index whenever steps_phi is
 even. The half-grid searches must therefore pick exactly the angles the
-full-grid searches pick. The reference evaluates every chunk of every scan
-in order and ignores the bound, so it shares no code with the pruned scan
-beyond the row evaluators.
+full-grid searches pick. The reference evaluates every row of every scan
+in index order and ignores the bound, so it shares no code with the pruned
+scan beyond the row evaluators.
 """
 
 import functools
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcorr import oracle
@@ -98,17 +98,17 @@ STATES = _states()
 
 
 def _exhaustive_scan(grids, n_row_angles, rows):
-    """What _scan returns, from every chunk evaluated in order."""
+    """What _scan returns, from every row evaluated in index order."""
     shape = tuple(g.size for g in grids)
     n_rows = int(np.prod(shape[:n_row_angles]))
 
-    def chunk(lo):
+    def block(lo):
         return rows(lo, min(lo + _CHUNK_ROWS, n_rows))
 
-    row_best = np.concatenate([chunk(lo).min(axis=1) for lo in range(0, n_rows, _CHUNK_ROWS)])
+    row_best = np.concatenate([block(lo).min(axis=1) for lo in range(0, n_rows, _CHUNK_ROWS)])
     value = row_best.min()
     row = int(np.argmax(row_best <= value + TIE_TOL))
-    line = chunk(row - row % _CHUNK_ROWS)[row % _CHUNK_ROWS]
+    line = block(row - row % _CHUNK_ROWS)[row % _CHUNK_ROWS]
     col = int(np.argmax(line <= value + TIE_TOL))
     idx = np.unravel_index(row * line.size + col, shape)
     return tuple(g[i] for g, i in zip(grids, idx)), value
@@ -207,12 +207,13 @@ def _recorded_scans(grid, monkeypatch, states=STATES):
     return records
 
 
-def _chunks(grids, n_row_angles):
+def _blocks(grids, n_row_angles):
     return -(-int(np.prod([g.size for g in grids[:n_row_angles]])) // _CHUNK_ROWS)
 
 
-def _alive_chunks(rows, minimum):
-    """The chunks the skip alone would evaluate: only the early stop ends a scan before them."""
+def _live_blocks(rows, minimum):
+    """The blocks of _CHUNK_ROWS rows that hold a row the skip alone leaves live at the
+    minimum: fewer runs fetched than that is taken as the early stop cutting a scan short."""
     bound = np.minimum.reduceat(rows.bound, np.arange(0, rows.bound.size, _CHUNK_ROWS))
     return int(np.sum(bound - _BOUND_SLACK <= minimum + TIE_TOL))
 
@@ -230,32 +231,33 @@ def test_pruned_scan_equals_exhaustive_scan(steps, monkeypatch):
         elif options.get("stop_early"):
             assert result[0] == exact[0]
             assert exact[1] <= result[1] <= exact[1] + TIE_TOL
-            stopped += hasattr(rows, "bound") and len(blocks) < _alive_chunks(rows, exact[1])
+            stopped += hasattr(rows, "bound") and len(blocks) < _live_blocks(rows, exact[1])
         else:
             assert repr(result) == repr(exact)
-            skipped += len(blocks) < _chunks(grids, n_row_angles)
+            skipped += len(blocks) < _blocks(grids, n_row_angles)
     assert skipped and windows_ruled_out
-    assert stopped or steps < 17  # below 17 steps every coarse table is one chunk
+    assert stopped or steps < 17  # below 17 steps no coarse table has more than _CHUNK_ROWS rows
 
 
 def test_bound_leaves_at_most_two_coarse_rows_for_bell_diagonal_states(monkeypatch):
     # Werner: every row's bound is the same up to ulps, so only the early
     # stop can end the scan, right after the seed row; the window bound then
-    # rules out refinement. Asymmetric: the skip leaves two rows of one chunk
-    # and the seed row of the window. A full-rank state leaves rows of many
-    # chunks alive, but the scan evaluates only those still live when reached.
+    # rules out refinement. Asymmetric: the skip leaves two coarse rows and
+    # the seed row of the window. A full-rank state leaves rows all over the
+    # table alive, but the scan evaluates only those still live when reached.
     states = [werner_state(0.5), bell_diagonal_state((0.7, -0.3, 0.5)), STATES[-1]]
     records = _recorded_scans(GridSpec(), monkeypatch, states)
     counts = [sum(hi - lo for lo, hi in blocks) for grids, n, *_, blocks in records if n == 2]
     assert counts[:4] == [1, 0, 2, 1]
-    assert 2 < counts[4] < _CHUNK_ROWS  # 26 of 2048, in runs over several chunks
+    assert 2 < counts[4] < _CHUNK_ROWS  # 26 of 2048, in 8 runs
     grids, _, table, *_ = records[0]
     assert np.ptp(table(*grids).bound) < TIE_TOL
 
 
 def test_refinement_rescans_an_early_stopped_grid_it_cannot_decide():
-    # The coarse scan stops after chunk 0 at U = 0, but chunk 1 holds the
-    # minimum, -0.5 TIE_TOL. The window's minimum, -1.45 TIE_TOL, lies more
+    # The coarse scan stops after its seed row 0 at U = 0, but row 200, with
+    # the next lowest bound, holds the minimum, -0.5 TIE_TOL, whatever order
+    # the rows are evaluated in. The window's minimum, -1.45 TIE_TOL, lies more
     # than TIE_TOL below U and less than TIE_TOL below the minimum, so only
     # the exact coarse value shows that refinement must not adopt it.
     rng = np.random.default_rng(1)
@@ -282,10 +284,12 @@ def test_refinement_rescans_an_early_stopped_grid_it_cannot_decide():
     assert _grid_search(grids, bounds, 1, table, True) == expected
 
 
+# Tables of 256, 289 and 2048 rows: more than one run of _CHUNK_ROWS rows,
+# so the result must not depend on the order the runs are evaluated in.
 SCAN_GRIDS = {
-    "16": (_theta_grid(16), _phi_grid(16)),  # two chunks
-    "17": (_theta_grid(17), _phi_grid(17)),  # a partial last chunk
-    "64": (_search_thetas(GridSpec()), _phi_grid(64)),  # the 64-step search's sixteen chunks
+    "16": (_theta_grid(16), _phi_grid(16)),
+    "17": (_theta_grid(17), _phi_grid(17)),  # not a multiple of _CHUNK_ROWS
+    "64": (_search_thetas(GridSpec()), _phi_grid(64)),  # the 64-step search's table
 }
 
 
@@ -300,9 +304,10 @@ SCAN_GRIDS = {
 )
 def test_pruned_scan_keeps_a_minimum_an_ulp_below_the_first_chunk(rho, steps):
     # For Werner z = 0.9 the bound is flat within ulps, and the 64-step
-    # table's minimum lies in chunk 13, 1e-15 below the minimum of chunk 0:
-    # a bound raised by a hair would skip that chunk and report chunk 0's.
-    # The full-rank states leave live rows in runs over several chunks.
+    # table's minimum lies in row 1751, 1e-15 below the minimum of the seed
+    # row 0: a bound raised by a hair would skip row 1751 and report row 0's.
+    # The full-rank states leave live rows in many runs, evaluated out of
+    # index order.
     thetas, phis = SCAN_GRIDS[steps]
     grids = (thetas, phis, thetas, phis)
     table = functools.partial(_dephased_entropy_rows, bloch_decompose(rho))
@@ -342,6 +347,78 @@ def test_scan_evaluates_only_rows_live_when_reached(steps, monkeypatch):
         minimize_relative_entropy_basis(rho, GridSpec(steps, steps, 2))
     assert sum(evaluated) > 4 * _CHUNK_ROWS
     assert dead == [] and twice == []
+
+
+# Offsets from the minimum for planted entries: ties, the tolerance's edge
+# and entries just outside it.
+_PLANTED = tuple(TIE_TOL * np.array([0.0, 1e-6, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]))
+
+
+@st.composite
+def _bounded_tables(draw):
+    """(table, bound or None), with per row a lower bound that is tight, a few
+    ulps low or loose: up to 300x6 random entries with planted ties, or up to
+    12x6 entries each drawn from the planted offsets."""
+    n_cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_rows = draw(st.integers(1, 300))
+        scale = draw(st.sampled_from([1e-9, 1e-3, 1.0]))
+        values = rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)) * scale
+        for _ in range(draw(st.integers(0, 12))):
+            values[rng.integers(n_rows), rng.integers(n_cols)] = values.min() + rng.choice(_PLANTED)
+        kind = rng.integers(3, size=n_rows)
+    else:
+        n_rows = draw(st.integers(1, 12))
+        offsets = st.sampled_from(_PLANTED + (1.5 * TIE_TOL, 1e-3))
+        entries = draw(st.lists(offsets, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        values = draw(st.sampled_from([0.0, -0.3, 0.7])) + np.reshape(entries, (n_rows, n_cols))
+        kind = np.full(n_rows, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        return values, None
+    row_min = values.min(axis=1)
+    ulps = np.nextafter(np.nextafter(row_min, -np.inf), -np.inf)
+    loose = row_min - rng.exponential(draw(st.sampled_from([TIE_TOL, 1e-6, 1.0])), size=n_rows)
+    return values, np.choose(kind, [row_min, ulps, loose])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bounded_tables(), st.floats(-2.0, 2.0), st.integers(-3, 3))
+@example((np.array([[1.5, 0.5], [0.0, 1e7]]) * TIE_TOL, np.array([0.5, 0.0]) * TIE_TOL), 0.0, 0)
+def test_scan_returns_the_exhaustive_first_tie_on_any_bounded_table(case, below, near):
+    # Whatever order the scan evaluates rows in, it returns the first entry
+    # within TIE_TOL of the minimum, the exact minimum without the early stop
+    # and a value at most TIE_TOL above it with it. In the example the seed
+    # row's first entry within TIE_TOL of U lies 1.5 TIE_TOL above the
+    # minimum, so the early stop must not return it.
+    values, bound = case
+    grids = (np.arange(float(values.shape[0])), np.arange(float(values.shape[1])))
+
+    def table(*_):
+        def rows(lo, hi):
+            return values[lo:hi]
+
+        if bound is not None:
+            rows.bound = bound
+        return rows
+
+    least = values.min()
+    first = int((values <= least + TIE_TOL).argmax())
+    expected = (grids[0][first // values.shape[1]], grids[1][first % values.shape[1]])
+    assert repr(_scan(grids, 1, table)) == repr((expected, least))
+    point, value = _scan(grids, 1, table, stop_early=True)
+    assert point == expected and least <= value <= least + TIE_TOL
+    if bound is None:
+        return
+    # below: at random, at the smallest bound less the slack, or some ulps off it.
+    floor = bound - _BOUND_SLACK
+    if near:
+        below = floor.min()
+        for _ in range(abs(near) - 1):
+            below = np.nextafter(below, np.inf if near > 0 else -np.inf)
+    found = _scan(grids, 1, table, below=below)
+    assert (found is None) == bool(np.all(floor >= below))
+    assert found is None or repr(found) == repr((expected, least))
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,18 +646,19 @@ ROW_LOCAL_PRODUCT = functools.partial(np.einsum, "ij,jk->ik")
     "thetas, phis",
     [
         (_theta_grid(16), _phi_grid(16)),
-        (_theta_grid(17), _phi_grid(17)),  # a partial last chunk
-        (_search_thetas(GridSpec()), _phi_grid(64)),  # every chunk a 64-step search scans
+        (_theta_grid(17), _phi_grid(17)),  # a partial last block
+        (_search_thetas(GridSpec()), _phi_grid(64)),  # every block a 64-step search scans
         (np.linspace(0.3, 0.4, _REFINE_POINTS), np.linspace(1.0, 1.2, _REFINE_POINTS)),
     ],
     ids=["16", "17", "64", "window"],
 )
 def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
-    # Reusing the buffers must not move a bit: every chunk, and random runs
-    # inside it from a second evaluator, match the fresh-array reference
-    # whose k comes from the same row-local product. A k from one BLAS
-    # product per chunk, an independent route, rounds a few ulps apart.
-    # Each single row, as the scan re-fetches it, carries its chunk's bits.
+    # Reusing the buffers must not move a bit: every block of _CHUNK_ROWS
+    # rows, and random runs inside it from a second evaluator, match the
+    # fresh-array reference whose k comes from the same row-local product.
+    # A k from one BLAS product per block, an independent route, rounds a
+    # few ulps apart. Each single row, as the scan re-fetches it, carries
+    # its block's bits.
     rng = np.random.default_rng(3)
     n_rows = thetas.size * phis.size
     for rho in STATES[:6] + STATES[-6:]:
@@ -603,7 +681,7 @@ def test_dephased_entropy_chunks_bitwise_equal_to_reference(thetas, phis):
 
 def _row_evaluators(bloch):
     """(name, evaluator, row count) of each oracle's row evaluator on grids
-    of more than two chunks of rows."""
+    of more than two blocks of _CHUNK_ROWS rows."""
     thetas, phis = _theta_grid(17), _phi_grid(17)
     comp = (QubitBasis.standard(), local_qubit_basis(0.9, 1.3))
     laqc_phis = np.linspace(0.0, 6.0, 300)
@@ -615,8 +693,8 @@ def _row_evaluators(bloch):
 
 
 def test_any_run_of_rows_equals_its_single_rows():
-    # The scan fetches single rows, short runs and whole chunks; each row
-    # must carry the same bits in all of them, across chunk boundaries too.
+    # The scan fetches single rows, runs of up to _CHUNK_ROWS rows and whole
+    # bound-less tables; each row must carry the same bits in all of them.
     # The dephased evaluator's buffers hold runs of up to _CHUNK_ROWS rows.
     rng = np.random.default_rng(5)
     for rho in STATES[:4] + STATES[-4:]:
@@ -753,9 +831,9 @@ def _one_run_cases(steps):
 
 @pytest.mark.parametrize("steps", [2, 3, 4, 7, 16, 17, 64, 65, 127, 128])
 def test_bound_less_tables_are_scanned_in_one_run(steps):
-    # At most _CHUNK_ROWS rows and no bound: _scan fetches rows(0, n) once and
-    # returns what the exhaustive scan over every chunk returns, bit for bit,
-    # with and without the early stop.
+    # No bound: _scan fetches rows(0, n) once and returns what the exhaustive
+    # scan returns, bit for bit, with and without the early stop. No oracle's
+    # bound-less table has more than _CHUNK_ROWS rows.
     for label, grids, table in _one_run_cases(steps):
         fetched = []
 

@@ -156,7 +156,7 @@ def _verify(*argv):
 def _searches():
     """Every kind of search, as (label, call): Bell-diagonal `verify` runs,
     the LAQC and discord searches up to the largest grid, and a full-rank
-    relative-entropy search, whose bound leaves rows of many chunks alive."""
+    relative-entropy search, whose bound leaves rows all over its table alive."""
     for steps in ("64", "65"):
         for state in ("--werner=0.5", "--bd=0.7,-0.3,0.5"):
             yield f"verify-{state[2:]}-{steps}", functools.partial(_verify, state, "--steps", steps)
