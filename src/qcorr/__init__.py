@@ -3,9 +3,9 @@
 Closed-form classical correlations, LAQC, quantum discord, and
 concurrence for Bell-diagonal states; Markovian Kraus decoherence
 channels; and brute-force measurement-basis oracles that verify every
-closed form. All values are immutable after construction and every
-operation is a pure function, so the whole API is safe to call
-concurrently.
+closed form. The values that check their input hold read-only copies of
+the arrays they are given, and the per-process caches and memos are keyed
+by content, so the API is safe to call concurrently.
 """
 
 from .bases import (

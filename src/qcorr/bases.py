@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import validate_density
+from .qstate import _readonly, validate_density
 
 __all__ = [
     "LocalBasisAngles",
@@ -95,8 +95,8 @@ class QubitBasis:
     ket1: np.ndarray
 
     def __post_init__(self):
-        k0 = np.asarray(self.ket0, dtype=complex).reshape(2)
-        k1 = np.asarray(self.ket1, dtype=complex).reshape(2)
+        k0 = _readonly(np.asarray(self.ket0, dtype=complex).reshape(2))
+        k1 = _readonly(np.asarray(self.ket1, dtype=complex).reshape(2))
         # The Gram defect in plain Python: <k1|k0> is the conjugate of <k0|k1>.
         (a, b), (c, d) = k0.tolist(), k1.tolist()
         defect = (
@@ -110,8 +110,6 @@ class QubitBasis:
             ok = False
         if not ok:
             raise ValueError("basis vectors are not orthonormal")
-        k0.flags.writeable = False
-        k1.flags.writeable = False
         object.__setattr__(self, "ket0", k0)
         object.__setattr__(self, "ket1", k1)
 
@@ -155,10 +153,9 @@ class JointDistribution:
             raise ValueError(f"probability table must be 2x2, got {p.shape}")
         if not (-_PROB_CLAMP <= p.min() and p.max() <= 1.0 + _PROB_CLAMP):  # also rejects NaN
             raise ValueError(f"probabilities outside [0, 1]: {p}")
-        p = np.clip(p, 0.0, 1.0)
+        p = _readonly(np.clip(p, 0.0, 1.0))
         if not abs(p.sum() - 1.0) <= _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
     @property

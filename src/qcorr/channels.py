@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .correlations import CorrelationReport, full_report
-from .qstate import PAULIS, BellDiagonalParams, _check_unit, _two_qubit, validate_density
+from .qstate import PAULIS, BellDiagonalParams, _check_unit, _readonly, _two_qubit, validate_density
 
 __all__ = [
     "KrausChannel",
@@ -86,10 +86,9 @@ class KrausChannel:
     def __post_init__(self):
         ops = []
         for op in self.operators:
-            arr = np.asarray(op, dtype=complex)
+            arr = _readonly(np.asarray(op, dtype=complex))
             if arr.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {arr.shape}")
-            arr.flags.writeable = False
             ops.append(arr)
         object.__setattr__(self, "operators", tuple(ops))
         object.__setattr__(self, "gamma", float(_check_gamma(self.gamma)))

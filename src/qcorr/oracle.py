@@ -95,6 +95,7 @@ from .qstate import (
     BellDiagonalParams,
     BlochParams,
     _bloch_decompose,
+    _readonly,
     _two_qubit,
     as_bell_params,
     bell_diagonal_state,
@@ -180,19 +181,14 @@ def _clamp_theta(theta: float) -> float:
     return min(max(float(theta), 0.0), math.pi)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=16)
 def _theta_grid(steps: int) -> np.ndarray:
-    return _frozen(np.linspace(0.0, math.pi, steps))
+    return _readonly(np.linspace(0.0, math.pi, steps))
 
 
 @functools.lru_cache(maxsize=16)
 def _phi_grid(steps: int) -> np.ndarray:
-    return _frozen(np.linspace(0.0, _TWO_PI, steps, endpoint=False))
+    return _readonly(np.linspace(0.0, _TWO_PI, steps, endpoint=False))
 
 
 def _search_thetas(grid: GridSpec) -> np.ndarray:
@@ -223,7 +219,7 @@ def _bloch_axes_of(theta_bytes: bytes, phi_bytes: bytes) -> np.ndarray:
     tt = np.repeat(thetas, phis.size)
     pp = np.tile(phis, thetas.size)
     st = np.sin(tt)
-    return _frozen(np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt))))
+    return _readonly(np.column_stack((st * np.cos(pp), st * np.sin(pp), np.cos(tt))))
 
 
 def _scan(grids, n_row_angles, table, below=math.inf, stop_early=False):
@@ -443,14 +439,14 @@ def _laqc_plane(computational: QubitBasis) -> np.ndarray:
 def _laqc_plane_of(kets: bytes) -> np.ndarray:
     basis = QubitBasis(*np.frombuffer(kets, dtype=complex).reshape(2, 2))
     axes = [complementary_qubit_basis(p, basis).axis() for p in (0.0, math.pi / 2)]
-    return _frozen(np.array(axes))
+    return _readonly(axes)
 
 
 @functools.lru_cache(maxsize=8)
 def _plane_axes(phi_bytes: bytes, plane_bytes: bytes) -> np.ndarray:
     """cos(phi) e1 + sin(phi) e2 for each phi in the plane (e1, e2), read-only, cached by bytes."""
     phis, (e1, e2) = np.frombuffer(phi_bytes), np.frombuffer(plane_bytes).reshape(2, 3)
-    return _frozen(np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
+    return _readonly(np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
 
 
 def _holevo_gate(bloch: BlochParams, plane_a, plane_b) -> bool:
@@ -544,7 +540,7 @@ def _conditional_entropy_of(bloch: BlochParams, thetas, phis) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _conditional_entropy_table(x, y, t, theta_bytes, phi_bytes) -> np.ndarray:
     bloch = BlochParams(np.frombuffer(x), np.frombuffer(y), np.frombuffer(t).reshape(3, 3))
-    return _frozen(_conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes)))
+    return _readonly(_conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes)))
 
 
 def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):

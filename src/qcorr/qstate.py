@@ -25,6 +25,7 @@ arbitrary states, spin-flip spectra) go through LAPACK's Hermitian solver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,10 +86,9 @@ _PAULI_TERMS = _PAULI_PAIRS.reshape(16, 4, 4)[_COMPOSE_ORDER]
 # Fixed ordering for any Bell-basis spectral reporting.
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
-_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
-
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """A read-only copy of a: the one place qcorr clears an array's writeable flag."""
     out = np.array(a)
     out.flags.writeable = False
     return out
@@ -146,7 +146,8 @@ class BellDiagonalParams:
 
     The state is physical exactly when all four Bell-basis eigenvalues
     are nonnegative; those eigenvalues are cheap closed forms in the c's.
-    Array fields of one shape hold a grid; every method covers each triple.
+    Array fields of one shape hold a grid, kept as read-only float copies;
+    every method covers each triple.
     Building one runs :meth:`validate`, so a bad triple raises ValueError.
     """
 
@@ -155,6 +156,10 @@ class BellDiagonalParams:
     c3: float
 
     def __post_init__(self):
+        for name, c in zip(("c1", "c2", "c3"), self.as_tuple()):
+            if not isinstance(c, (float, numbers.Real)):  # float first: the ABC check is slow
+                c = np.asarray(c).astype(float, casting="same_kind", copy=False)
+                object.__setattr__(self, name, _readonly(c))  # an array field's own copy
         self.validate()
 
     def bell_eigenvalues(self) -> np.ndarray:
@@ -332,13 +337,9 @@ def bell_diagonal_state(params) -> np.ndarray:
 
 
 def werner_state(z: float) -> np.ndarray:
-    """z |phi+><phi+| + (1 - z)/4 I, z in [0, 1].
-
-    Identical to ``bell_diagonal_state((z, -z, z))`` up to rounding.
-    """
+    """z |phi+><phi+| + (1 - z)/4 I, z in [0, 1]: it is ``bell_diagonal_state((z, -z, z))``."""
     z = float(_check_unit("werner parameter z", z))
-    m = z * np.outer(_PHI_PLUS, _PHI_PLUS.conj()) + (1.0 - z) / 4.0 * _I4
-    return validate_density(m)
+    return bell_diagonal_state((z, -z, z))
 
 
 def bloch_decompose(rho: np.ndarray) -> BlochParams:

@@ -419,6 +419,15 @@ class TestNonFiniteAndStacks:
         with pytest.raises(ValueError, match=message):
             BellDiagonalParams(*fields)
 
+    @pytest.mark.parametrize(
+        "field", [0.5j, np.array([0.5j]), "0.5", np.array(["0.5"]), None],
+        ids=["complex", "complex-array", "text", "text-array", "none"],
+    )
+    def test_field_that_is_not_real_rejected(self, field):
+        # Not cast to float: that would drop an imaginary part or parse text.
+        with pytest.raises(TypeError, match="Cannot cast"):
+            BellDiagonalParams(field, 0.0, 0.0)
+
     def test_xlog2_scalar_gives_float(self):
         assert isinstance(xlog2(0.5), float)
         assert xlog2(0.5) == -0.5

@@ -1,8 +1,10 @@
 """Guards for the benchmark: its tracer patches qcorr functions by name and
 keeps one span stack, so importing qcorr and running any search must start
 no thread, and its workload checks (audit, grid, kraus) hold qcorr to
-independent closed forms."""
+independent closed forms. One source rule is checked here too: only
+qstate._readonly clears an array's writeable flag."""
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -232,3 +234,33 @@ def test_tracer_sees_one_check_per_verify(capsys):
     assert calls["qstate.bell_diagonal_state"] == 1
     for name in spans.LAYERS["oracle"]:
         assert calls[f"oracle.{name}"] == 1, name
+
+
+def _freezing_sites():
+    """(module, enclosing function) of every `.flags.writeable` assignment and
+    `.setflags` call in src/qcorr."""
+    sites = []
+    for path in sorted((ROOT / "src" / "qcorr").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            assigns = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "writeable"
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "flags"
+            )
+            calls = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags"
+            if assigns or calls:
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                sites.append((path.name, getattr(scope, "name", "<module>")))
+    return sites
+
+
+def test_only_readonly_freezes_an_array():
+    # Every value and cache holds its arrays through qstate._readonly, a copy
+    # that is then frozen; freezing in place elsewhere would keep an alias.
+    assert _freezing_sites() == [("qstate.py", "_readonly")]
