@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _readonly, validate_density
+from .qstate import _readonly, _two_qubit, validate_density
 
 __all__ = [
     "LocalBasisAngles",
@@ -201,8 +201,15 @@ def complementary_qubit_basis(phi: float, computational: QubitBasis) -> QubitBas
 def joint_projective_distribution(
     rho: np.ndarray, basis_a: QubitBasis, basis_b: QubitBasis
 ) -> JointDistribution:
-    """p(i, j) = <a_i b_j| rho |a_i b_j> for the product projective measurement."""
-    rho = np.asarray(rho, dtype=complex)
+    """p(i, j) = <a_i b_j| rho |a_i b_j> for the product projective measurement
+    of a valid 2-qubit state."""
+    return _joint_distribution(validate_density(_two_qubit(rho)), basis_a, basis_b)
+
+
+def _joint_distribution(
+    rho: np.ndarray, basis_a: QubitBasis, basis_b: QubitBasis
+) -> JointDistribution:
+    """:func:`joint_projective_distribution` of a 4x4 complex matrix, unchecked."""
     p = np.empty((2, 2))
     for i, ka in enumerate(basis_a.kets):
         for j, kb in enumerate(basis_b.kets):
@@ -214,7 +221,8 @@ def joint_projective_distribution(
 def dephase_in_basis(
     rho: np.ndarray, basis_a: QubitBasis, basis_b: QubitBasis
 ) -> np.ndarray:
-    """Strictly classical state sharing rho's diagonal in the product basis."""
+    """Strictly classical state sharing rho's diagonal in the product basis;
+    rho is checked as a valid 2-qubit state by :func:`joint_projective_distribution`."""
     d = joint_projective_distribution(rho, basis_a, basis_b)
     out = np.zeros((4, 4), dtype=complex)
     for i, ka in enumerate(basis_a.kets):
@@ -232,5 +240,6 @@ def rotate_to_basis(
     The diagonal of the result is the flattened joint outcome table; the
     spectrum is untouched.
     """
+    rho = validate_density(_two_qubit(rho))
     u = np.kron(basis_a.bras_matrix(), basis_b.bras_matrix())
-    return validate_density(u @ np.asarray(rho, dtype=complex) @ u.conj().T)
+    return validate_density(u @ rho @ u.conj().T)

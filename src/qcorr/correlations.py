@@ -29,6 +29,7 @@ from .qstate import (
     BellDiagonalParams,
     _bell_diagonal_matrix,
     _check_unit,
+    _readonly,
     as_bell_params,
     validate_density,
     xlog2,
@@ -61,7 +62,8 @@ _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Bundle of every quantifier for one Bell-diagonal state (or grid)."""
+    """Bundle of every quantifier for one Bell-diagonal state (or grid).
+    Array fields are kept as read-only copies; scalar fields as given."""
 
     classical: float
     laqc: float
@@ -69,6 +71,11 @@ class CorrelationReport:
     concurrence: float
     c_min: float
     c_max: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _readonly(value))
 
 
 def mutual_information(d: JointDistribution) -> float:

@@ -68,8 +68,8 @@ fetched, and row by row, so a row has the same bits in any run. The value
 reported is recomputed at the winning angles through the explicit ket
 route, so the search never fabricates the answer; a disagreement with the
 closed form is recorded as a gap, never overwritten. An audit's oracles
-share one check and decomposition of its matrix (:func:`_checked`); grids,
-axes and planes are cached per process by size or bytes.
+share one check and decomposition of its matrix (:func:`_checked`). Grids
+are cached per process by size, the rest by content (:func:`_by_content`).
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ from .bases import (
     ComplementaryAngles,
     LocalBasisAngles,
     QubitBasis,
+    _joint_distribution,
     complementary_qubit_basis,
-    joint_projective_distribution,
     local_basis_pair,
     local_qubit_basis,
 )
@@ -95,11 +95,12 @@ from .qstate import (
     BellDiagonalParams,
     BlochParams,
     _bloch_decompose,
+    _by_content,
+    _partial_trace,
     _readonly,
     _two_qubit,
     as_bell_params,
     bell_diagonal_state,
-    partial_trace,
     validate_density,
     xlog2,
 )
@@ -204,18 +205,10 @@ def _search_thetas(grid: GridSpec) -> np.ndarray:
     return thetas[: max(2, (grid.steps_theta + 1) // 2)]
 
 
+@_by_content(maxsize=8)
 def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Bloch axes of all (theta, phi) pairs in lexicographic order, read-only.
-
-    Cached by the grids' bytes: both sides of the relative-entropy search and
-    the discord search scan the same coarse axes.
-    """
-    return _bloch_axes_of(np.asarray(thetas, float).tobytes(), np.asarray(phis, float).tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _bloch_axes_of(theta_bytes: bytes, phi_bytes: bytes) -> np.ndarray:
-    thetas, phis = np.frombuffer(theta_bytes), np.frombuffer(phi_bytes)
+    """Bloch axes of all (theta, phi) pairs in lexicographic order, read-only and cached:
+    both sides of the relative-entropy search and the discord search scan the same axes."""
     tt = np.repeat(thetas, phis.size)
     pp = np.tile(phis, thetas.size)
     st = np.sin(tt)
@@ -373,19 +366,20 @@ def _dephased_entropy_rows(bloch: BlochParams, theta_a, phi_a, theta_b, phi_b):
     # H(A, B) = H(A) + sum_s p_s H(B | s), and no measurement on B has a
     # smaller entropy than the conditional state's von Neumann entropy.
     p_a = np.minimum(np.maximum(0.5 * (1.0 + axes_a @ bloch.x), 0.0), 1.0)
-    rows.bound = _conditional_entropy_of(bloch, theta_a, phi_a) - xlog2(p_a) - xlog2(1.0 - p_a)
+    h_cond = _conditional_entropy_of(bloch.x, bloch.y, bloch.T, theta_a, phi_a)
+    rows.bound = h_cond - xlog2(p_a) - xlog2(1.0 - p_a)
     return rows
 
 
 def _checked(rho) -> tuple[np.ndarray, BlochParams, BellDiagonalParams | None]:
     """(rho validated and read-only, its Bloch parameters, its triple or None off the
     Bell-diagonal family), keyed by content: a matrix changed since is checked again."""
-    return _checked_of(_two_qubit(rho).tobytes())
+    return _checked_of(_two_qubit(rho))
 
 
-@functools.lru_cache(maxsize=1)
-def _checked_of(data):
-    rho = validate_density(np.frombuffer(data, dtype=complex).reshape(4, 4))
+@_by_content(maxsize=1)
+def _checked_of(rho):
+    rho = validate_density(rho)
     bloch = _bloch_decompose(rho)
     return rho, bloch, bloch.diagonal_correlations() if bloch.is_bell_diagonal() else None
 
@@ -423,30 +417,27 @@ def minimize_relative_entropy_basis(
         _clamp_theta(best[2]),
         _wrap_phase(best[3]),
     )
-    mi = correlations.mutual_information(
-        joint_projective_distribution(rho, *local_basis_pair(angles))
-    )
+    mi = correlations.mutual_information(_joint_distribution(rho, *local_basis_pair(angles)))
     return _result(triple, angles, mi, correlations.classical_correlations_bd)
 
 
 def _laqc_plane(computational: QubitBasis) -> np.ndarray:
     """(e1, e2), read-only and cached by the kets: the complementary basis' Bloch
     axes at phi = 0 and pi/2, which span the plane its axis turns in as phi moves."""
-    return _laqc_plane_of(computational.ket0.tobytes() + computational.ket1.tobytes())
+    return _laqc_plane_of(*computational.kets)
 
 
-@functools.lru_cache(maxsize=8)
-def _laqc_plane_of(kets: bytes) -> np.ndarray:
-    basis = QubitBasis(*np.frombuffer(kets, dtype=complex).reshape(2, 2))
+@_by_content(maxsize=8)
+def _laqc_plane_of(ket0: np.ndarray, ket1: np.ndarray) -> np.ndarray:
+    basis = QubitBasis(ket0, ket1)
     axes = [complementary_qubit_basis(p, basis).axis() for p in (0.0, math.pi / 2)]
     return _readonly(axes)
 
 
-@functools.lru_cache(maxsize=8)
-def _plane_axes(phi_bytes: bytes, plane_bytes: bytes) -> np.ndarray:
-    """cos(phi) e1 + sin(phi) e2 for each phi in the plane (e1, e2), read-only, cached by bytes."""
-    phis, (e1, e2) = np.frombuffer(phi_bytes), np.frombuffer(plane_bytes).reshape(2, 3)
-    return _readonly(np.cos(phis)[:, None] * e1 + np.sin(phis)[:, None] * e2)
+@_by_content(maxsize=8)
+def _plane_axes(phis: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """cos(phi) e1 + sin(phi) e2 for each phi in the plane (e1, e2), read-only and cached."""
+    return _readonly(np.cos(phis)[:, None] * plane[0] + np.sin(phis)[:, None] * plane[1])
 
 
 def _holevo_gate(bloch: BlochParams, plane_a, plane_b) -> bool:
@@ -473,8 +464,8 @@ def _laqc_rows(bloch: BlochParams, plane_a, plane_b, gated: bool, phi_a, phi_b):
         e = _plogp(t[:8], t[8:])
         np.subtract(e[4:].sum(axis=0), e[:4].sum(axis=0), out=out)  # each adds its layers in order
 
-    axes_a = _plane_axes(phi_a.tobytes(), plane_a.tobytes())
-    axes_b = functools.partial(_plane_axes, phi_b.tobytes(), plane_b.tobytes())
+    axes_a = _plane_axes(phi_a, plane_a)
+    axes_b = functools.partial(_plane_axes, phi_b, plane_b)
     rows = _outcome_rows(bloch, axes_a, axes_b, 16, minus_mutual_information)
     if gated:
         rows.bound = _conditional_entropy(bloch, axes_a) - 1.0
@@ -504,7 +495,7 @@ def maximize_laqc(
     )
     angles = ComplementaryAngles(_wrap_phase(best[0]), _wrap_phase(best[1]))
     objective = correlations.mutual_information(
-        joint_projective_distribution(
+        _joint_distribution(
             rho,
             complementary_qubit_basis(angles.phi_a, comp_a),
             complementary_qubit_basis(angles.phi_b, comp_b),
@@ -530,22 +521,17 @@ def _conditional_entropy(bloch: BlochParams, axes: np.ndarray) -> np.ndarray:
     return 0.0 + term[0] + term[1]
 
 
-def _conditional_entropy_of(bloch: BlochParams, thetas, phis) -> np.ndarray:
-    """:func:`_conditional_entropy` along the axes of :func:`_bloch_axes`, read-only, cached
-    by the bytes of the state and grids: the relative-entropy bound and discord share it."""
-    key = (bloch.x, bloch.y, bloch.T, thetas, phis)
-    return _conditional_entropy_table(*(np.asarray(a, float).tobytes() for a in key))
-
-
-@functools.lru_cache(maxsize=8)
-def _conditional_entropy_table(x, y, t, theta_bytes, phi_bytes) -> np.ndarray:
-    bloch = BlochParams(np.frombuffer(x), np.frombuffer(y), np.frombuffer(t).reshape(3, 3))
-    return _readonly(_conditional_entropy(bloch, _bloch_axes_of(theta_bytes, phi_bytes)))
+@_by_content(maxsize=8)
+def _conditional_entropy_of(x, y, T, thetas, phis) -> np.ndarray:
+    """:func:`_conditional_entropy` of Bloch parameters (x, y, T) along :func:`_bloch_axes`,
+    read-only and cached: the relative-entropy bound and discord share it."""
+    return _readonly(_conditional_entropy(BlochParams(x, y, T), _bloch_axes(thetas, phis)))
 
 
 def _conditional_entropy_rows(bloch: BlochParams, thetas, phis):
     """Row evaluator of :func:`_conditional_entropy`; rows are theta, columns phi."""
-    table = _conditional_entropy_of(bloch, thetas, phis).reshape(thetas.size, phis.size)
+    table = _conditional_entropy_of(bloch.x, bloch.y, bloch.T, thetas, phis)
+    table = table.reshape(thetas.size, phis.size)
     return lambda lo, hi: table[lo:hi]
 
 
@@ -571,7 +557,7 @@ def _measured_discord_at(rho: np.ndarray, theta: float, phi: float) -> float:
     seen = weights > 1e-14
     taus = np.einsum("sabad->sbd", (proj[seen] @ rho @ proj[seen]).reshape(-1, 2, 2, 2, 2))
     taus /= weights[seen, None, None]
-    reduced = [partial_trace(rho, "B")[None], partial_trace(rho, "A")[None], taus]
+    reduced = [_partial_trace(rho, "B")[None], _partial_trace(rho, "A")[None], taus]
     s_b, s_a, *s_tau = _entropy(np.concatenate(reduced)).tolist()
     total = s_a + s_b - float(_entropy(rho))  # S(rho_B) cancels, but dropping it moves bits
     cond = 0.0

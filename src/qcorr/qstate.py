@@ -4,8 +4,9 @@ States are plain complex numpy arrays: 4x4 for the pair, 2x2 for a single
 qubit. Every constructor routes its output through :func:`validate_density`,
 or, for one Bell-diagonal matrix, its checked triple, so any state in
 circulation is Hermitian, unit-trace, and positive semidefinite, and is
-returned as a read-only array. bloch_decompose and concurrence check their
-input; the matrix last accepted is not solved again (a one-entry memo).
+returned as a read-only array. bloch_decompose, partial_trace and
+concurrence check their input; the matrix last accepted is not solved
+again (a one-entry memo).
 
 Bell-diagonal states are handled through their correlation triple
 (c1, c2, c3), checked once, when it is built. That check is the contract
@@ -24,6 +25,7 @@ arbitrary states, spin-flip spectra) go through LAPACK's Hermitian solver.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-9
 # How far past 1 a correlation coefficient |c_i| may round.
 _CORRELATION_SLACK = 1e-12
-_ACCEPTED = [b""]  # bytes of the last 4x4 matrix validate_density accepted at default tols
+_ACCEPTED = [None]  # _content_key of the last 4x4 matrix validate_density accepted at default tols
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -92,6 +94,27 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a)
     out.flags.writeable = False
     return out
+
+
+def _content_key(a) -> tuple:
+    """(dtype, shape, bytes) of a as an array: equal exactly when the contents are."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _by_content(maxsize: int):
+    """functools.lru_cache(maxsize) keyed on each array argument's _content_key. The
+    function is called with read-only arrays rebuilt from the keys; results are shared."""
+
+    def decorate(f):
+        cached = functools.lru_cache(maxsize)(
+            lambda *keys: f(*(np.frombuffer(b, dtype).reshape(shape) for dtype, shape, b in keys))
+        )
+        call = functools.wraps(f)(lambda *arrays: cached(*map(_content_key, arrays)))
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return decorate
 
 
 def _check_unit(name: str, value):
@@ -303,10 +326,10 @@ def validate_density(
 
     Raises :class:`InvalidStateError` carrying the full violation report
     otherwise. No repair is attempted. The last 4x4 matrix accepted at the
-    default tolerances is not solved again while its bytes are unchanged.
+    default tolerances is not solved again while its content is unchanged.
     """
     m = np.asarray(m, dtype=complex)
-    memo = m.shape == (4, 4) and (tol, psd_tol) == (HERMITICITY_TOL, PSD_TOL) and m.tobytes()
+    memo = m.shape == (4, 4) and (tol, psd_tol) == (HERMITICITY_TOL, PSD_TOL) and _content_key(m)
     if not memo or memo != _ACCEPTED[0]:
         if bad := density_violations(m, tol=tol, psd_tol=psd_tol):
             raise InvalidStateError(bad)
@@ -332,7 +355,7 @@ def bell_diagonal_state(params) -> np.ndarray:
     m = _bell_diagonal_matrix(*p.as_tuple())
     if m.shape != (4, 4) or p.bell_eigenvalues().min() < 1e-12 - PSD_TOL:
         return validate_density(m)
-    _ACCEPTED[0] = m.tobytes()
+    _ACCEPTED[0] = _content_key(m)
     return _readonly(m)
 
 
@@ -367,12 +390,17 @@ def bloch_compose(params: BlochParams) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced state of subsystem ``keep`` ('A' or 'B') of a 2-qubit state."""
-    r = _two_qubit(rho).reshape(2, 2, 2, 2)
+    """Reduced state of subsystem ``keep`` ('A' or 'B') of a valid 2-qubit state, read-only."""
+    return _readonly(_partial_trace(validate_density(_two_qubit(rho)), keep))
+
+
+def _partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
+    """:func:`partial_trace` of a 4x4 matrix, unchecked: its trace and sign pass through."""
+    r = rho.reshape(2, 2, 2, 2)
     if keep == "A":
-        return _readonly(np.einsum("abcb->ac", r))
+        return np.einsum("abcb->ac", r)
     if keep == "B":
-        return _readonly(np.einsum("abad->bd", r))
+        return np.einsum("abad->bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -273,6 +273,23 @@ class TestNonFiniteInputs:
             JointDistribution(np.full((2, 2), math.nan))
 
 
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.eye(2) / 2, r"expected one 4x4 two-qubit state, got shape \(2, 2\)"),
+        (np.eye(4) / 2, "trace violated"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "positivity violated"),
+        (np.full((4, 4), math.nan), "must be finite"),
+    ],
+    ids=["2x2", "trace-2", "not-psd", "nan"],
+)
+@pytest.mark.parametrize("fn", [joint_projective_distribution, dephase_in_basis, rotate_to_basis])
+def test_basis_functions_reject_a_matrix_that_is_not_a_state(fn, rho, message):
+    standard = QubitBasis.standard()
+    with pytest.raises(ValueError, match=message):
+        fn(rho, standard, standard)
+
+
 def _random_bases(n, seed):
     rng = np.random.default_rng(seed)
     angles = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(n, 2))

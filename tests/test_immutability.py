@@ -3,14 +3,16 @@
 A qcorr value that checks its input does so once, when it is built, and
 keeps a read-only copy of each array it was given: an edit the caller
 makes later through any alias of that array cannot reach a checked value. The caches
-and memos are keyed by content, so threads sharing them get the answers a
-single thread gets.
+and memos are keyed by content, all through one key function, so threads sharing
+them get the answers a single thread gets.
 """
 
+import ast
 import dataclasses
 import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from qcorr import oracle
 from qcorr.bases import JointDistribution, QubitBasis
 from qcorr.channels import KrausChannel, phase_damped_werner_params
-from qcorr.correlations import full_report, mutual_information
+from qcorr.correlations import CorrelationReport, full_report, mutual_information
 from qcorr.oracle import (
     GridSpec,
     audit_closed_forms,
@@ -61,6 +63,11 @@ def _outcome_table():
     return p, (p,), JointDistribution(p), mutual_information
 
 
+def _report_fields():
+    a = np.array([0.1, 0.2])
+    return a, (a,), CorrelationReport(a, a, a, a, a, a), repr
+
+
 def _held(value):
     """Every array a value holds in its fields, tuples of arrays included."""
     fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
@@ -70,7 +77,15 @@ def _held(value):
 
 @pytest.mark.parametrize(
     "case",
-    [_kets, _kraus_ops, _triple_fields, _phase_damped_z, _bloch_vectors, _outcome_table],
+    [
+        _kets,
+        _kraus_ops,
+        _triple_fields,
+        _phase_damped_z,
+        _bloch_vectors,
+        _outcome_table,
+        _report_fields,
+    ],
     ids=lambda case: case.__name__.strip("_"),
 )
 def test_a_value_keeps_a_read_only_copy_of_the_callers_arrays(case):
@@ -133,3 +148,38 @@ def test_threads_sharing_the_caches_agree_with_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial + serial[::-1]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcorr"
+
+
+def _sites(names):
+    """(module, top-level definition, name) of every use of one of ``names`` in
+    src/qcorr: an attribute, a bare name or an imported name."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+                if not isinstance(node, ast.stmt) and name in names:
+                    sites.append((path.name, getattr(stmt, "name", "<module>"), name))
+    return sorted(sites)
+
+
+def test_clear_caches_reaches_every_content_keyed_cache():
+    # Every _by_content cache lives in oracle, and an audit fills each one.
+    decorated = [site for site in _sites({"_by_content"}) if site[1] != "<module>"]  # not imports
+    assert len(decorated) >= 5 and {module for module, _, _ in decorated} == {"oracle.py"}
+    audit_closed_forms((0.6, -0.6, 0.6), GridSpec(8, 8, 8))
+    caches = [getattr(oracle, name) for _, name, _ in decorated]
+    assert all(cache.cache_info().currsize for cache in caches)
+    _clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
+def test_only_the_content_key_touches_raw_bytes():
+    # One key function spells a cache key, and only _by_content decodes one.
+    assert _sites({"tobytes", "frombuffer"}) == [
+        ("qstate.py", "_by_content", "frombuffer"),
+        ("qstate.py", "_content_key", "tobytes"),
+    ]

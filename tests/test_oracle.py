@@ -32,6 +32,7 @@ from qcorr.oracle import (
 from qcorr.cli import main
 from qcorr.qstate import (
     InvalidStateError,
+    _partial_trace,
     bell_diagonal_state,
     bloch_decompose,
     partial_trace,
@@ -278,7 +279,8 @@ def _five_solve_discord(rho, theta, phi):
         proj = oracle._projector_on_a(ket)
         weight = float(np.trace(proj @ rho).real)
         if weight > 1e-14:
-            cond += weight * entropy(partial_trace(proj @ rho @ proj, "B") / weight)
+            # The outcome's unnormalized state: its trace is the weight, not 1.
+            cond += weight * entropy(_partial_trace(proj @ rho @ proj, "B") / weight)
     return total - (s_b - cond)
 
 
@@ -290,7 +292,7 @@ def _loop_over_kets_discord(rho, theta, phi):
         proj = oracle._projector_on_a(ket)
         weight = float(np.trace(proj @ rho).real)
         if weight > 1e-14:
-            outcomes.append((weight, partial_trace(proj @ rho @ proj, "B") / weight))
+            outcomes.append((weight, _partial_trace(proj @ rho @ proj, "B") / weight))
     reduced = [partial_trace(rho, "B"), partial_trace(rho, "A"), *(tau for _, tau in outcomes)]
     s_b, s_a, *s_tau = oracle._entropy(np.stack(reduced)).tolist()
     total = s_a + s_b - float(oracle._entropy(rho))

@@ -282,6 +282,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(I4, "C")
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(4) / 2, "trace violated"),
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "positivity violated"),
+            (np.full((4, 4), np.nan), "must be finite"),
+        ],
+        ids=["trace-2", "not-psd", "nan"],
+    )
+    @pytest.mark.parametrize("keep", ["A", "B"])
+    def test_rejects_a_matrix_that_is_not_a_state(self, keep, rho, message):
+        with pytest.raises(ValueError, match=message):
+            partial_trace(rho, keep)
+
 
 class TestEntropy:
     def test_pure_state(self):
@@ -464,7 +478,7 @@ def solves(monkeypatch):
         return check(m, *args, **kwargs)
 
     monkeypatch.setattr(qstate, "density_violations", spy)
-    qstate._ACCEPTED[0] = b""
+    qstate._ACCEPTED[0] = None
     return seen
 
 
@@ -524,6 +538,71 @@ class TestCheckMemo:
         bloch_decompose(out)
         concurrence(out)
         assert [m.tobytes() for m in solves] == [out.tobytes()]
+
+
+class TestByContent:
+    """qstate._by_content caches on each array argument's dtype, shape and bytes,
+    and calls the function with read-only copies rebuilt from them."""
+
+    @pytest.fixture
+    def traced(self):
+        seen = []
+
+        @qstate._by_content(maxsize=4)
+        def join(a, b):
+            seen.append((a, b))
+            return qstate._readonly(np.concatenate((a.ravel(), b.ravel())))
+
+        return join, seen
+
+    def test_equal_contents_share_one_read_only_result(self, traced):
+        join, seen = traced
+        a, b = np.arange(6.0), np.ones(2)
+        first = join(a, b)
+        assert join(a.copy(), b.copy()) is first
+        assert join(list(a), b) is first  # not an array, but the same content
+        ((got_a, got_b),) = seen
+        for got, given in ((got_a, a), (got_b, b)):
+            assert got.dtype == given.dtype and got.shape == given.shape
+            assert not got.flags.writeable and not np.shares_memory(got, given)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
+
+    def test_the_same_bytes_under_another_shape_or_dtype_miss(self, traced):
+        join, seen = traced
+        a, b = np.arange(6.0), np.ones(2)
+        for view in (a, a.reshape(2, 3), a.reshape(3, 2), a.view(np.int64), a.view(complex)):
+            join(view, b)
+        join(a, b.view(np.int64))
+        assert [(x.dtype, x.shape, y.dtype) for x, y in seen] == [
+            (np.dtype(float), (6,), np.dtype(float)),
+            (np.dtype(float), (2, 3), np.dtype(float)),
+            (np.dtype(float), (3, 2), np.dtype(float)),
+            (np.dtype(np.int64), (6,), np.dtype(float)),
+            (np.dtype(complex), (3,), np.dtype(float)),
+            (np.dtype(float), (6,), np.dtype(np.int64)),
+        ]
+
+    def test_an_edited_array_misses_and_leaves_the_old_result_alone(self, traced):
+        join, seen = traced
+        a, b = np.arange(6.0), np.ones(2)
+        first = join(a, b)
+        a[0] = 9.0
+        again = join(a, b)
+        assert len(seen) == 2 and again[0] == 9.0 and first[0] == 0.0
+
+    def test_the_cache_stays_bounded_and_clears(self, traced):
+        join, seen = traced
+        b = np.ones(2)
+        for i in range(10):
+            join(np.full(3, float(i)), b)
+        join(np.full(3, 9.0), b)
+        info = join.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 10, 4, 4)
+        join.cache_clear()
+        assert join.cache_info().currsize == 0
+        join(np.full(3, 9.0), b)
+        assert len(seen) == 11
 
 
 class TestCheckedEntryPoints:

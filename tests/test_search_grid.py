@@ -735,7 +735,7 @@ def test_bloch_axes_cache_stays_bounded(capsys):
     # are found in the cache each time, as is the coarse conditional-entropy
     # table the discord search shares with the relative-entropy bound, and
     # neither cache ever outgrows its maxsize.
-    caches = (oracle._bloch_axes_of, oracle._conditional_entropy_table)
+    caches = (oracle._bloch_axes, oracle._conditional_entropy_of)
     before = [cache.cache_info() for cache in caches]
     rng = np.random.default_rng(21)
     for c in rng.uniform(-1.0 / 3.0, 1.0 / 3.0, size=(30, 3)):  # sum |c_i| <= 1: physical
@@ -788,10 +788,11 @@ def test_conditional_entropy_is_bitwise_the_loop_over_outcomes():
 def test_conditional_entropy_tables_are_exact_shared_and_read_only(thetas, phis):
     for rho in STATES[:3] + STATES[-3:]:
         bloch = bloch_decompose(rho)
-        table = _conditional_entropy_of(bloch, thetas, phis)
+        table = _conditional_entropy_of(bloch.x, bloch.y, bloch.T, thetas, phis)
         assert table.tobytes() == _conditional_entropy(bloch, _bloch_axes(thetas, phis)).tobytes()
         # The same state rebuilt from its matrix, and copies of the grids, hit the cache.
-        again = _conditional_entropy_of(bloch_decompose(rho.copy()), thetas.copy(), phis.copy())
+        copy = bloch_decompose(rho.copy())
+        again = _conditional_entropy_of(copy.x, copy.y, copy.T, thetas.copy(), phis.copy())
         assert again is table
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
@@ -802,7 +803,7 @@ def test_conditional_entropy_tables_are_exact_shared_and_read_only(thetas, phis)
 def test_verify_solves_the_coarse_conditional_entropy_table_once(monkeypatch, capsys):
     # The relative-entropy bound (side A) and the discord search read the
     # same 2048-axis table of the 64-step grid.
-    oracle._conditional_entropy_table.cache_clear()
+    oracle._conditional_entropy_of.cache_clear()
     sizes = []
     solve = oracle._conditional_entropy
 
@@ -885,9 +886,9 @@ def test_pruned_windows_build_no_outcome_table(monkeypatch, capsys):
     sizes = []
     build = oracle._plane_axes
 
-    def spy(phi_bytes, plane_bytes):
-        sizes.append(len(phi_bytes) // 8)
-        return build(phi_bytes, plane_bytes)
+    def spy(phis, plane):
+        sizes.append(phis.size)
+        return build(phis, plane)
 
     gates = []
     gate = oracle._holevo_gate
