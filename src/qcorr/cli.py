@@ -17,7 +17,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,14 +74,12 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"  # +0.0 normalizes -0.0
 
 
-def _output_mode(target: Path) -> int:
-    """The mode open(target, "w") would leave: the old file's, else 0o666 - umask."""
+def _output_mode(target: Path) -> int | None:
+    """The old file's mode, which the new one keeps; None if there is none."""
     try:
         st = target.stat()
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
+        return None
     if not stat.S_ISREG(st.st_mode):
         raise CliError(f"cannot write {target}: not a regular file")
     return stat.S_IMODE(st.st_mode)
@@ -95,13 +92,18 @@ def _emit(text: str, path: str) -> None:
     target = Path(os.path.realpath(path))  # write through symlinks
     try:
         mode = _output_mode(target)
-        fd, tmp = tempfile.mkstemp(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-        )
+        while True:  # a fresh name, created at 0o666 so the kernel applies the umask
+            tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                pass
         try:
             with os.fdopen(fd, "w", newline="") as handle:
                 handle.write(text)
-                os.fchmod(handle.fileno(), mode)
+                if mode is not None:
+                    os.fchmod(handle.fileno(), mode)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):

@@ -63,7 +63,8 @@ _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 @dataclass(frozen=True)
 class CorrelationReport:
     """Bundle of every quantifier for one Bell-diagonal state (or grid).
-    Array fields are kept as read-only copies; scalar fields as given."""
+    Array fields are kept as read-only copies; scalar fields as given.
+    As for BellDiagonalParams, equality and hashing are for scalar reports only."""
 
     classical: float
     laqc: float

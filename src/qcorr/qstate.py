@@ -34,14 +34,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "PSD_TOL",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "PAULIS",
-    "BELL_LABELS",
     "Violation",
     "InvalidStateError",
     "BellDiagonalParams",
@@ -56,11 +48,9 @@ __all__ = [
     "relative_entropy",
     "density_violations",
     "validate_density",
-    "xlog2",
 ]
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 # Channel application compounds rounding, so positivity gets a looser bar.
 PSD_TOL = 1e-9
 # How far past 1 a correlation coefficient |c_i| may round.
@@ -406,8 +396,12 @@ def _partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum lambda log2 lambda over the spectrum, in bits. Eigenvalues in
-    [-PSD_TOL, 0) count as 0; one below that raises InvalidStateError."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    [-PSD_TOL, 0) count as 0; one below that raises InvalidStateError, and a
+    non-finite entry ValueError."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
+    w = np.linalg.eigvalsh(rho)
     if w.min(initial=0.0) < -PSD_TOL:
         raise InvalidStateError([Violation("positivity", -float(w.min()))])
     return float(-xlog2(w).sum())
@@ -416,10 +410,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def relative_entropy(rho: np.ndarray, chi: np.ndarray, support_tol: float = 1e-12) -> float:
     """S(rho || chi) = -Tr(rho log2 chi) - S(rho), in bits.
 
-    Returns ``math.inf`` when rho has weight outside the support of chi.
+    Both must be valid density matrices of one shape (validate_density), and
+    ``math.inf`` is returned when rho has weight outside the support of chi.
     """
-    rho = np.asarray(rho, dtype=complex)
-    w, v = np.linalg.eigh(np.asarray(chi, dtype=complex))
+    rho, chi = validate_density(rho), validate_density(chi)
+    if rho.shape != chi.shape or rho.ndim != 2:
+        raise ValueError(f"expected rho and chi as single matrices of one shape, got {rho.shape} and {chi.shape}")
+    w, v = np.linalg.eigh(chi)
     weights = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
     null = w <= support_tol
     if weights[null].sum() > 1e-12:

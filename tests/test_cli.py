@@ -486,6 +486,40 @@ class TestBoundaries:
             os.umask(old)
         assert code == 0 and stat.S_IMODE(path.stat().st_mode) == 0o640
 
+    def test_output_leaves_the_umask_alone(self, capsys, monkeypatch, tmp_path):
+        # Setting the umask, even only to read it, would race with a thread that
+        # creates a file meanwhile; the kernel applies it to the new file instead.
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old\n")
+        old.chmod(0o640)
+
+        def refuse(*_):
+            raise AssertionError("os.umask called")
+
+        saved = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            argv = ["sweep", "--z-steps", "3", "--output"]
+            codes = [run(capsys, *argv, str(p))[0] for p in (new, old)]
+        finally:
+            monkeypatch.undo()
+            os.umask(saved)
+        assert codes == [0, 0]
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o022
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+
+    def test_taken_temporary_name_is_skipped_and_left_alone(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "out.csv"
+        taken = tmp_path / f"out.csv.{'00' * 6}.tmp"
+        taken.write_text("someone else's\n")
+        draws = iter([b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        assert run(capsys, "sweep", "--z-steps", "3", "--output", str(path))[0] == 0
+        assert path.read_text().startswith("z,classical")
+        assert taken.read_text() == "someone else's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", taken.name]
+
     @pytest.mark.parametrize("method", ["write", "flush"])
     @pytest.mark.parametrize(
         "argv",

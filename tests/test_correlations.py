@@ -318,3 +318,8 @@ class TestFullReport:
     def test_propagates_nonphysical_error(self):
         with pytest.raises(ValueError):
             full_report((1, 1, 1))
+
+    def test_scalar_reports_compare_and_hash_by_value(self):
+        params = BellDiagonalParams(0.5, -0.3, 0.2)
+        a, b = full_report(params), full_report(params)
+        assert a is not b and a == b and hash(a) == hash(b)

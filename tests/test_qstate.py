@@ -331,6 +331,14 @@ class TestEntropy:
         clamped = von_neumann_entropy(np.diag([0.5, 0.5 + 1e-10, 0.0, 0.0]))
         assert von_neumann_entropy(np.diag([0.5, 0.5 + 1e-10, -1e-10, 0.0])) == clamped
 
+    @pytest.mark.parametrize(
+        "rho", [np.full((2, 2), np.nan), [[np.inf, 0.0], [0.0, 0.0]]], ids=["nan", "inf"]
+    )
+    def test_rejects_a_non_finite_entry(self, rho):
+        # Both read -0.0 bits before the check.
+        with pytest.raises(ValueError, match="must be finite"):
+            von_neumann_entropy(rho)
+
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):
@@ -352,6 +360,19 @@ class TestRelativeEntropy:
 
     def test_support_violation_is_infinite(self):
         assert relative_entropy(I4, PHI_PLUS) == math.inf
+
+    @pytest.mark.parametrize(
+        "rho, chi", [(I4, 2.0 * np.eye(4)), (np.eye(4), I4)], ids=["chi-trace-8", "rho-trace-4"]
+    )
+    def test_rejects_a_matrix_that_is_not_a_state(self, rho, chi):
+        # These read -3.0 and 8.0 bits before the check.
+        with pytest.raises(InvalidStateError, match="trace violated"):
+            relative_entropy(rho, chi)
+
+    @pytest.mark.parametrize("chi", [np.eye(2) / 2.0, np.stack([I4, I4])], ids=["2x2", "stack"])
+    def test_rejects_anything_but_two_matrices_of_one_shape(self, chi):
+        with pytest.raises(ValueError, match="single matrices of one shape"):
+            relative_entropy(I4, chi)
 
 
 class TestValidateDensity:

@@ -1,8 +1,9 @@
 """Guards for the benchmark: its tracer patches qcorr functions by name and
 keeps one span stack, so importing qcorr and running any search must start
 no thread, and its workload checks (audit, grid, kraus) hold qcorr to
-independent closed forms. One source rule is checked here too: only
-qstate._readonly clears an array's writeable flag."""
+independent closed forms. Two source rules are checked here too: only
+qstate._readonly clears an array's writeable flag, and the package exports
+exactly its modules' __all__ lists."""
 
 import ast
 import functools
@@ -135,6 +136,24 @@ def test_one_audit_cycle_evaluates_at_most_two_coarse_relative_entropy_rows(monk
     laqc_coarse = [n for size, n in laqc if size == 64 * 64]
     assert len(laqc_coarse) == len(audit.CYCLE) and max(laqc_coarse) <= 1
     assert [n for size, n in laqc if size != 64 * 64] == [0] * len(audit.CYCLE)
+
+
+MODULES = ("bases", "channels", "correlations", "oracle", "qstate")
+
+
+def test_package_exports_each_module_list_once():
+    modules = [importlib.import_module(f"qcorr.{name}") for name in MODULES]
+    names = [n for module in modules for n in module.__all__]
+    assert len(names) == len(set(names)), "a name is in two modules' __all__"
+    assert qcorr.__all__ == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qcorr, name) is getattr(module, name), name
+    # Beyond __all__, the public namespace holds only qcorr's own submodules.
+    public = {n for n in vars(qcorr) if not n.startswith("_")}
+    extra = public - set(qcorr.__all__)
+    assert set(MODULES) <= extra
+    assert all(getattr(qcorr, n).__name__ == f"qcorr.{n}" for n in extra), sorted(extra)
 
 
 def test_import_starts_no_thread():
